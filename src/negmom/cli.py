@@ -2,9 +2,12 @@
 raw sequence listings, in text, json, or csv.
 
 Exit codes: 0 all (non-skipped) checks pass, 1 a verification failed,
-2 usage error or an ill-defined request.  Output is byte-stable for
-fixed inputs; the only timing appears in a trailing comment line of the
-text format.
+2 usage error or an ill-defined request, 3 an unexpected internal error
+(a bug: reported on stderr, and by ``verify`` per tuple as
+``status=ERROR`` while the other tuples still run).  A ``verify`` tuple
+outside an identity's domain is ``status=SKIPPED``, the reason in the
+json ``witness``.  Output is byte-stable for fixed inputs; the only
+timing appears in a trailing comment line of the text format.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .weights import WeightSpec, spec as make_spec
 
 USAGE_ERROR = 2
 FAIL_ERROR = 1
+INTERNAL_ERROR = 3
 
 
 def _parse_range(text: str) -> List[int]:
@@ -244,59 +248,61 @@ def _verify_tuples(identity: str, args) -> List[Tuple[Tuple, Dict]]:
     return out
 
 
+_CHECKS = {
+    "ck": lambda p: reciprocity.check_ck(p["n"], p["k"]),
+    "ck-rs": lambda p: reciprocity.check_ck_rs(p["n"], p["k"], p["r"], p["s"]),
+    "thm15": lambda p: reciprocity.check_theorem15(p["n"], p["k"], p["m"]),
+    "main": lambda p: reciprocity.check_main_reciprocity(
+        p["n"], p["k"], p["m"], _spec_from_name(p.get("spec", "symbolic"))),
+    "conj50": lambda p: reciprocity.check_conjecture50(p["n"], p["k"], p["m"]),
+    "conj53": lambda p: reciprocity.check_conjecture53(p["n"], p["k"], p["m"]),
+    "thm34": lambda p: reciprocity.check_theorem34(p["n"], p["k"], p["m"]),
+    "rpp": lambda p: reciprocity.check_rpp_identity(p["n"], p["m"], p["k"],
+                                                    mode=p.get("mode", "symbolic-VA")),
+    "pv2": lambda p: reciprocity.check_pv2(p["n"], p["k"]),
+    "pv3a": lambda p: reciprocity.check_pv3a(p["n"], p["k"]),
+    "pv3b": lambda p: reciprocity.check_pv3b(p["n"], p["k"]),
+    "pv3-rs": lambda p: reciprocity.check_pv3_rs(p["n"], p["k"], p["r"], p["s"]),
+    "usmani": lambda p: reciprocity.check_usmani(p["k"]),
+    "vv-inv": lambda p: reciprocity.check_vv_inverse(p["k"]),
+    "sigma": lambda p: reciprocity.check_sigma(p["n"], p["k"]),
+    "alt-cf": lambda p: reciprocity.check_alt_cf(p["k"]),
+    "special-dets": lambda p: reciprocity.check_special_dets(p["k"]),
+    "connection1": lambda p: reciprocity.check_connection1(p["n"], p["k"]),
+    "connection2": lambda p: reciprocity.check_connection2(p["n"], p["k"]),
+}
+IDENTITIES = list(_CHECKS)
+
+
 def run_check(identity: str, params: Dict) -> reciprocity.IdentityCheck:
     """Dispatch one verification tuple (picklable for worker pools)."""
-    if identity == "ck":
-        return reciprocity.check_ck(params["n"], params["k"])
-    if identity == "ck-rs":
-        return reciprocity.check_ck_rs(params["n"], params["k"], params["r"], params["s"])
-    if identity == "thm15":
-        return reciprocity.check_theorem15(params["n"], params["k"], params["m"])
-    if identity == "main":
-        spec = _spec_from_name(params.get("spec", "symbolic"))
-        return reciprocity.check_main_reciprocity(params["n"], params["k"],
-                                                  params["m"], spec)
-    if identity == "conj50":
-        return reciprocity.check_conjecture50(params["n"], params["k"], params["m"])
-    if identity == "conj53":
-        return reciprocity.check_conjecture53(params["n"], params["k"], params["m"])
-    if identity == "thm34":
-        return reciprocity.check_theorem34(params["n"], params["k"], params["m"])
-    if identity == "rpp":
-        return reciprocity.check_rpp_identity(params["n"], params["m"], params["k"],
-                                              mode=params.get("mode", "symbolic-VA"))
-    if identity == "pv2":
-        return reciprocity.check_pv2(params["n"], params["k"])
-    if identity == "pv3a":
-        return reciprocity.check_pv3a(params["n"], params["k"])
-    if identity == "pv3b":
-        return reciprocity.check_pv3b(params["n"], params["k"])
-    if identity == "pv3-rs":
-        return reciprocity.check_pv3_rs(params["n"], params["k"], params["r"], params["s"])
-    if identity == "usmani":
-        return reciprocity.check_usmani(params["k"])
-    if identity == "vv-inv":
-        return reciprocity.check_vv_inverse(params["k"])
-    if identity == "sigma":
-        return reciprocity.check_sigma(params["n"], params["k"])
-    if identity == "alt-cf":
-        return reciprocity.check_alt_cf(params["k"])
-    if identity == "special-dets":
-        return reciprocity.check_special_dets(params["k"])
-    if identity == "connection1":
-        return reciprocity.check_connection1(params["n"], params["k"])
-    if identity == "connection2":
-        return reciprocity.check_connection2(params["n"], params["k"])
-    raise ValueError(f"unknown identity {identity!r}")
+    if identity not in _CHECKS:
+        raise ValueError(f"unknown identity {identity!r}")
+    return _CHECKS[identity](params)
 
 
 def _run_one(job):
     identity, key, params = job
     try:
         check = run_check(identity, params)
-    except IllDefinedError as exc:
+    except (IllDefinedError, ValueError) as exc:   # outside the domain
         return key, params, "SKIPPED", str(exc)
+    except Exception as exc:
+        import traceback   # the error path only: keeps start-up lean
+        traceback.print_exc()
+        return key, params, "ERROR", f"{type(exc).__name__}: {exc}"
     return key, params, check.status, check.witness or check.reason
+
+
+def worker_count(text: Optional[str], cpus: Optional[int]) -> int:
+    """Worker processes from ``NEGMOM_THREADS`` (1 when unset): a positive
+    integer, clamped to ``cpus``; anything else is a usage error."""
+    if text is None:
+        return 1
+    n = int(text) if text.strip().isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"NEGMOM_THREADS must be a positive integer, got {text!r}")
+    return min(n, cpus or 1)
 
 
 def cmd_verify(args) -> int:
@@ -307,7 +313,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     jobs = [(identity, key, params) for key, params in tuples]
-    workers = int(os.environ.get("NEGMOM_THREADS", "1"))
+    workers = worker_count(os.environ.get("NEGMOM_THREADS"), os.cpu_count())
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -316,14 +322,13 @@ def cmd_verify(args) -> int:
         results = [_run_one(job) for job in jobs]
     results.sort(key=lambda r: r[0])
     report = Report("verify", {"identity": identity}, ["line"])
-    failed = False
     for key, params, status, witness in results:
         ptxt = ",".join(f"{k}={v}" for k, v in params.items())
         line = f"{identity} params={ptxt} status={status}"
-        if status == "FAIL":
-            failed = True
-            if witness:
-                line += f" witness={witness}"
+        if status == "FAIL" and witness:
+            line += f" witness={witness}"
+        elif status == "ERROR":
+            line += f" error={witness}"
         report.add(line)
     if args.format == "json":
         report.columns = ["identity", "params", "status", "witness"]
@@ -332,12 +337,8 @@ def cmd_verify(args) -> int:
             report.add(identity, ",".join(f"{k}={v}" for k, v in params.items()),
                        status, witness or "")
     report.emit(args.format)
-    return FAIL_ERROR if failed else 0
-
-
-IDENTITIES = ["ck", "ck-rs", "thm15", "main", "conj50", "conj53", "thm34",
-              "rpp", "pv2", "pv3a", "pv3b", "pv3-rs", "usmani", "vv-inv",
-              "sigma", "alt-cf", "special-dets", "connection1", "connection2"]
+    statuses = {r[2] for r in results}
+    return INTERNAL_ERROR if "ERROR" in statuses else FAIL_ERROR if "FAIL" in statuses else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,6 +401,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, IllDefinedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except Exception as exc:
+        import traceback   # the error path only: keeps start-up lean
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

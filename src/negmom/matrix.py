@@ -1,10 +1,10 @@
 """Dense matrices over the exact polynomial ring or its fraction field.
 
 Determinants of polynomial matrices use fraction-free Bareiss
-elimination (with row pivoting on symbolic zeros); matrices of rational
-functions fall back to cofactor expansion, which is plenty at the sizes
-used here.  Inverses are adjugate/determinant pairs with entries reduced
-as rational functions.
+elimination (with row pivoting on symbolic zeros), or cofactor expansion
+for small matrices of large polynomials; matrices of rational functions
+use cofactor expansion.  Inverses are adjugate/determinant pairs with
+entries reduced as rational functions.
 """
 
 from __future__ import annotations
@@ -103,124 +103,25 @@ class Matrix:
         return f"Matrix({body})"
 
 
-def _is_zero_entry(e) -> bool:
-    return e.is_zero()
-
-
 def determinant(m: Matrix) -> MultiPoly:
-    """Exact determinant; polynomial entries use fraction-free Bareiss,
-    with a packed-exponent cofactor path for small matrices of large
-    polynomials (where Bareiss' exact divisions dominate)."""
+    """Exact determinant.
+
+    Polynomial entries use fraction-free Bareiss elimination, except that
+    2-4 row matrices with an entry of more than 64 terms use cofactor
+    expansion, which avoids Bareiss' exact divisions of large
+    polynomials; packed monomials keep its products cheap.  Matrices with
+    rational-function entries use cofactor expansion.
+    """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return MultiPoly.const(1)
     if any(isinstance(e, RatFunc) for row in m.data for e in row):
-        r = _det_cofactor_rat(m)
-        return r
+        return _det_cofactor(m.data, RatFunc(0))
     if 2 <= n <= 4 and max(len(e) for row in m.data for e in row) > 64:
-        packed = _det_packed(m)
-        if packed is not None:
-            return packed
+        return _det_cofactor(m.data, MultiPoly.zero())
     return _det_bareiss([list(row) for row in m.data])
-
-
-def _det_packed(m: Matrix):
-    """Cofactor determinant over integer-packed monomials.
-
-    Each monomial becomes one integer with a balanced digit per variable,
-    so monomial products are single integer additions.  Returns None when
-    the exponent ranges would not fit the digit width safely.
-    """
-    n = m.rows
-    vars_ = sorted({v for row in m.data for e in row for v in e.variables()})
-    if not vars_ or len(vars_) > 40:
-        return None
-    max_abs = 0
-    for row in m.data:
-        for e in row:
-            for mono, _ in e._terms.items():
-                for _, exp in mono:
-                    max_abs = max(max_abs, abs(exp))
-    # det multiplies n entries; digits stay within n * max_abs
-    half = n * max_abs + 2
-    base = 1
-    while base < 2 * half + 2:
-        base <<= 1
-    index = {v: i for i, v in enumerate(vars_)}
-    powers = [base ** i for i in range(len(vars_))]
-
-    def encode(p: MultiPoly):
-        out = {}
-        for mono, c in p._terms.items():
-            key = 0
-            for v, exp in mono:
-                key += exp * powers[index[v]]
-            out[key] = c
-        return out
-
-    grid = [[encode(e) for e in row] for row in m.data]
-
-    def mul(a, b):
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                nc = get(k, 0) + c1 * c2
-                if nc:
-                    out[k] = nc
-                else:
-                    del out[k]
-        return out
-
-    def add(a, b, sign):
-        out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            nc = get(k, 0) + (c if sign > 0 else -c)
-            if nc:
-                out[k] = nc
-            else:
-                del out[k]
-        return out
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return grid[rows[0]][cols[0]]
-        r0 = rows[0]
-        acc = {}
-        for t, c0 in enumerate(cols):
-            e = grid[r0][c0]
-            if not e:
-                continue
-            sub = det(rows[1:], cols[:t] + cols[t + 1:])
-            if not sub:
-                continue
-            acc = add(acc, mul(e, sub), 1 if t % 2 == 0 else -1)
-        return acc
-
-    packed = det(list(range(n)), list(range(n)))
-    terms = {}
-    half_base = base >> 1
-    for key, c in packed.items():
-        mono = []
-        rem = key
-        for i, v in enumerate(vars_):
-            digit = rem % base
-            if digit >= half_base:
-                digit -= base
-            rem = (rem - digit) // base
-            if digit:
-                mono.append((v, digit))
-        if rem:
-            return None  # overflow guard; caller falls back
-        mono.sort()
-        terms[tuple(mono)] = c
-    return MultiPoly(terms)
 
 
 def _det_bareiss(a: List[List[MultiPoly]]) -> MultiPoly:
@@ -246,25 +147,19 @@ def _det_bareiss(a: List[List[MultiPoly]]) -> MultiPoly:
     return -det if sign < 0 else det
 
 
-def _det_cofactor_rat(m: Matrix):
-    n = m.rows
-    if n == 0:
-        return RatFunc(1)
-    if n == 1:
-        return m.data[0][0]
+def _det_cofactor(rows: Sequence[Sequence], zero):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
     acc = None
-    for j in range(n):
-        e = m.data[0][j]
-        if _is_zero_entry(e):
+    for j, e in enumerate(rows[0]):
+        if e.is_zero():
             continue
-        sub = m.submatrix(range(1, n), [c for c in range(n) if c != j])
-        term = e * _det_cofactor_rat(sub)
+        term = e * _det_cofactor([r[:j] + r[j + 1:] for r in rows[1:]], zero)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
-    if acc is None:
-        return RatFunc(0)
-    return acc
+    return zero if acc is None else acc
 
 
 def minor(m: Matrix, rows: Iterable[int], cols: Iterable[int]) -> MultiPoly:

@@ -1,8 +1,7 @@
 """Exact sparse multivariate Laurent polynomials over the rationals.
 
-A polynomial is a mapping from monomials to nonzero ``Fraction``
-coefficients.  A monomial is a sorted tuple of ``(variable, exponent)``
-pairs with nonzero integer exponents; exponents may be negative, so the
+A polynomial maps monomials to nonzero ``int`` or ``Fraction``
+coefficients; floats are rejected.  Exponents may be negative, so the
 ring is a Laurent polynomial ring.  A variable is a ``(family, index)``
 pair drawn from the fixed families
 
@@ -11,17 +10,36 @@ pair drawn from the fixed families
 
 (``q`` and ``x`` carry no index, stored as index -1).
 
-Canonical term order is graded lexicographic: monomials are compared
-first by total degree, then lexicographically on the exponent vector
-taken in variable order.  The text rendering produced by ``render`` is
-the fixture format used throughout the test suite.
+Packed monomials (Monagan & Pearce 2009).  Inside ``MultiPoly`` a
+monomial is one integer.  Each variable owns a slot from an append-only
+intern table, filled in order of first use, and slot ``s`` holds a
+signed exponent in a 32-bit field: the key is ``sum(e_s << 32*s)``.  So
+a monomial product is one integer addition, a power one multiplication,
+a unit inverse one negation, and a field reads back by a biased shift
+and mask.  Slot numbers are private to a process; pickling goes through
+tuple monomials.
+
+Overflow.  A field holds ``|e| <= 2**31 - 1``.  Each polynomial carries
+an upper bound on its ``|e|``: a product's bound is the sum of its
+factors' bounds, a sum's the larger one.  When a bound passes the limit
+the true exponent range is computed (a product's extreme exponents are
+the sums of its factors' extremes), and ``OverflowError`` is raised only
+if that range leaves the field; an exponent never wraps.
+
+Tuple monomials, sorted tuples of ``(variable, exponent)`` pairs with
+nonzero exponents, appear only at the public edge: the constructor,
+``terms``, ``leading``, ``monomial_content``, ``shift_monomial`` and
+``render``.  Canonical term order is graded lexicographic: monomials are
+compared first by total degree, then lexicographically on the exponent
+vector taken in variable order.  The text rendering produced by
+``render`` is the fixture format used throughout the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 FAMILIES = ("b", "lam", "a", "V", "A", "q", "x")
 _FAMILY_RANK = {fam: r for r, fam in enumerate(FAMILIES)}
@@ -54,67 +72,145 @@ def var_name(v: Var) -> str:
     return fam if fam in _UNINDEXED else f"{fam}{idx}"
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    # two-pointer merge; monomials are kept sorted in plain tuple order
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+# -- packed monomial keys -----------------------------------------------------
+
+_W = 32                      # bits per exponent field
+_B = 1 << _W
+_HALF = _B >> 1
+_MASK = _B - 1
+EXPONENT_LIMIT = _HALF - 1   # largest |exponent| a field holds
+
+_SLOT: Dict[Var, int] = {}   # variable -> slot, append-only
+_VARS: List[Var] = []        # slot -> variable
+_BIAS: List[int] = []        # slot -> HALF * (1 + B + ... + B**slot)
+
+
+def _slot(v: Var) -> int:
+    s = _SLOT.get(v)
+    if s is None:
+        if v[0] not in _FAMILY_RANK:
+            raise ValueError(f"unknown variable family {v[0]!r}")
+        s = len(_VARS)
+        _SLOT[v] = s
+        _VARS.append(v)
+        _BIAS.append((_BIAS[-1] if _BIAS else 0) + (_HALF << (_W * s)))
+    return s
+
+
+def _fields(key: int) -> List[Tuple[int, int]]:
+    """Nonzero ``(slot, exponent)`` fields of a key, lowest slot first."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        p1, p2 = m1[i], m2[j]
-        v1, v2 = p1[0], p2[0]
-        if v1 < v2:
-            out.append(p1)
-            i += 1
-        elif v2 < v1:
-            out.append(p2)
-            j += 1
-        else:
-            e = p1[1] + p2[1]
-            if e:
-                out.append((v1, e))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    s = 0
+    while key:
+        e = key & _MASK
+        if e >= _HALF:
+            e -= _B
+        if e:
+            out.append((s, e))
+        key = (key - e) >> _W
+        s += 1
+    return out
 
 
-def _mono_pow(m: Monomial, n: int) -> Monomial:
-    return tuple((v, e * n) for v, e in m) if n else ()
+def _overflow(s: int) -> OverflowError:
+    return OverflowError(f"exponent of {var_name(_VARS[s])} leaves the "
+                         f"{_W}-bit field (|e| <= {EXPONENT_LIMIT})")
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _encode(mono: Iterable[Tuple[Var, int]]) -> Tuple[int, int]:
+    """Key and largest |exponent| of a tuple monomial."""
+    exps: Dict[int, int] = {}
+    for v, e in mono:
+        s = _slot(v)
+        exps[s] = exps.get(s, 0) + e
+    key = 0
+    for s, e in exps.items():
+        if abs(e) > EXPONENT_LIMIT:
+            raise _overflow(s)
+        key += e << (_W * s)
+    return key, max(map(abs, exps.values()), default=0)
+
+
+def _decode(key: int) -> Monomial:
+    return tuple(sorted((_VARS[s], e) for s, e in _fields(key)))
+
+
+def _ranges(keys: Iterable[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per-slot minimum and maximum exponent over ``keys`` (absent = 0),
+    for every slot that is nonzero in some key."""
+    cols: Dict[int, List[int]] = {}
+    n = 0
+    for n, k in enumerate(keys, 1):
+        for s, e in _fields(k):
+            cols.setdefault(s, []).append(e)
+    for col in cols.values():
+        if len(col) < n:
+            col.append(0)
+    return {s: min(c) for s, c in cols.items()}, {s: max(c) for s, c in cols.items()}
+
+
+def _content(keys: Iterable[int]) -> Tuple[int, int]:
+    """Key of the per-slot minimum exponent (the monomial gcd), and its bound."""
+    lo, _ = _ranges(keys)
+    key = sum(e << (_W * s) for s, e in lo.items())
+    return key, max((abs(e) for e in lo.values()), default=0)
+
+
+def _product_bound(a: Iterable[int], b: Iterable[int]) -> int:
+    """Exact largest |exponent| of a product of polynomials with these keys.
+
+    The extreme exponents of a product are the sums of its factors'
+    extremes (the Newton polytope of a product is the Minkowski sum), so
+    this raises ``OverflowError`` exactly when the product leaves a field.
+    """
+    la, ha = _ranges(a)
+    lb, hb = _ranges(b)
+    bound = 0
+    for s in la.keys() | lb.keys():
+        top = ha.get(s, 0) + hb.get(s, 0)
+        low = la.get(s, 0) + lb.get(s, 0)
+        if top > EXPONENT_LIMIT or low < -EXPONENT_LIMIT:
+            raise _overflow(s)
+        bound = max(bound, top, -low)
+    return bound
 
 
 def _mono_sort_key(m: Monomial):
     # graded lex: higher total degree first, then larger leading exponents
     ordered = sorted(m, key=lambda it: _var_key(it[0]))
-    return (_mono_degree(m),
+    return (sum(e for _, e in m),
             tuple((-_var_key(v)[0], -_var_key(v)[1], e) for v, e in ordered))
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; all arithmetic is exact."""
+    """Immutable sparse polynomial; all arithmetic is exact.
 
-    __slots__ = ("_terms",)
+    ``_terms`` maps packed keys to coefficients; ``_bound`` is an upper
+    bound on the largest |exponent| in ``_terms``.
+    """
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned: Dict[Monomial, Fraction] = {}
+    __slots__ = ("_terms", "_bound")
+
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        cleaned: Dict[int, Scalar] = {}
+        bound = 0
         if terms:
             for m, c in terms.items():
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
                 if not c:
                     continue
-                if not isinstance(c, int):
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
-                cleaned[m] = c
-        object.__setattr__(self, "_terms", cleaned)
+                key, kb = _encode(m)
+                c += cleaned.pop(key, 0)
+                if c:
+                    cleaned[key] = c.numerator if c.denominator == 1 else c
+                bound = max(bound, kb)
+        self._terms = cleaned
+        self._bound = bound
+
+    def __reduce__(self):
+        # keys are private to a process: pickle tuple monomials
+        return (MultiPoly, ({_decode(k): c for k, c in self._terms.items()},))
 
     # -- constructors ------------------------------------------------------
 
@@ -137,12 +233,22 @@ class MultiPoly:
     def monomial(cls, coeff: Scalar, mono: Monomial) -> "MultiPoly":
         return cls({mono: coeff})
 
+    def _shifted(self, key: int, kbound: int) -> "MultiPoly":
+        """Every term multiplied by the monomial ``key`` (|exponents| <= kbound)."""
+        if not key:
+            return self
+        bound = self._bound + kbound
+        if bound > EXPONENT_LIMIT:
+            bound = _product_bound(self._terms, (key,))
+        return _wrap({k + key: c for k, c in self._terms.items()}, bound)
+
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Monomial, Scalar]]:
         """Terms in descending canonical order."""
-        for m in sorted(self._terms, key=_mono_sort_key, reverse=True):
-            yield m, self._terms[m]
+        decoded = [(_decode(k), c) for k, c in self._terms.items()]
+        decoded.sort(key=lambda mc: _mono_sort_key(mc[0]), reverse=True)
+        return iter(decoded)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -151,7 +257,7 @@ class MultiPoly:
         return not self._terms
 
     def is_const(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def is_term(self) -> bool:
         """True for a single-term polynomial (a unit in the Laurent ring)."""
@@ -162,56 +268,43 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_const():
             raise ValueError(f"not a constant: {self}")
-        return self._terms[()]
+        return self._terms[0]
 
     def variables(self) -> set:
-        vs = set()
-        for m in self._terms:
-            for v, _ in m:
-                vs.add(v)
-        return vs
+        return {_VARS[s] for s in _ranges(self._terms)[0]}
+
+    def _column(self, var: Var) -> Tuple[int, List[int]]:
+        """Field shift of ``var`` and its exponent in each term, in ``_terms`` order."""
+        s = _SLOT.get(var)
+        if s is None:
+            return 0, [0] * len(self._terms)
+        bias, sh = _BIAS[s], _W * s
+        return sh, [(((k + bias) >> sh) & _MASK) - _HALF for k in self._terms]
 
     def degree(self, var: Var) -> int:
         """Largest exponent of ``var`` (0 when absent; Laurent may be < 0)."""
-        best = None
-        for m in self._terms:
-            e = dict(m).get(var, 0)
-            if best is None or e > best:
-                best = e
-        return best or 0
+        return max(self._column(var)[1], default=0)
 
-    def low_degree(self, var: Var) -> int:
-        """Smallest exponent of ``var`` over all terms (0 for the zero poly)."""
-        lows = [dict(m).get(var, 0) for m in self._terms]
-        return min(lows) if lows else 0
-
-    def leading(self) -> Tuple[Monomial, Fraction]:
+    def leading(self) -> Tuple[Monomial, Scalar]:
         """Leading term in canonical order; zero polynomial rejected."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms, key=_mono_sort_key)
-        return m, self._terms[m]
+        k = max(self._terms, key=lambda k: _mono_sort_key(_decode(k)))
+        return _decode(k), self._terms[k]
 
     def coefficient(self, var: Var, exp: int) -> "MultiPoly":
         """Coefficient of ``var**exp`` as a polynomial in the other variables."""
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            d = dict(m)
-            if d.pop(var, 0) == exp:
-                rest = tuple(sorted(d.items()))
-                out[rest] = out.get(rest, 0) + c
-        return MultiPoly(out)
+        sh, exps = self._column(var)
+        return _wrap({k - (e << sh): c for (k, c), e in zip(self._terms.items(), exps)
+                      if e == exp}, self._bound)
 
     def as_univariate(self, var: Var) -> Dict[int, "MultiPoly"]:
         """Split into {exponent of var: coefficient poly}."""
-        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            d = dict(m)
-            e = d.pop(var, 0)
-            rest = tuple(sorted(d.items()))
-            bucket = buckets.setdefault(e, {})
-            bucket[rest] = bucket.get(rest, 0) + c
-        return {e: MultiPoly(t) for e, t in buckets.items() if any(t.values())}
+        sh, exps = self._column(var)
+        buckets: Dict[int, Dict[int, Scalar]] = {}
+        for (k, c), e in zip(self._terms.items(), exps):
+            buckets.setdefault(e, {})[k - (e << sh)] = c
+        return {e: _wrap(t, self._bound) for e, t in buckets.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -224,9 +317,10 @@ class MultiPoly:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not MultiPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self._terms)
         get = out.get
         for m, c in other._terms.items():
@@ -236,47 +330,67 @@ class MultiPoly:
             else:
                 del out[m]
         res = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(res, "_terms", out)
+        res._terms = out
+        res._bound = self._bound if self._bound >= other._bound else other._bound
         return res
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(res, "_terms", {m: -c for m, c in self._terms.items()})
-        return res
+        return _wrap({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not MultiPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        out = dict(self._terms)
+        get = out.get
+        for m, c in other._terms.items():
+            nc = get(m, 0) - c
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+        res = MultiPoly.__new__(MultiPoly)
+        res._terms = out
+        res._bound = self._bound if self._bound >= other._bound else other._bound
+        return res
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self._terms or not other._terms:
+        if other.__class__ is not MultiPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        at, bt = self._terms, other._terms
+        if not at or not bt:
             return MultiPoly()
+        bound = self._bound + other._bound
+        if bound > EXPONENT_LIMIT:
+            bound = _product_bound(at, bt)
         # keep the smaller operand outer
-        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        out: Dict[Monomial, Fraction] = {}
-        get = out.get
-        bterms = b._terms
-        mono_mul = _mono_mul
-        for m1, c1 in a._terms.items():
-            for m2, c2 in bterms.items():
-                m = mono_mul(m1, m2)
-                nc = get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
+        if len(at) > len(bt):
+            at, bt = bt, at
+        if len(at) == 1:
+            (k1, c1), = at.items()
+            out = {k1 + k2: c1 * c2 for k2, c2 in bt.items()}
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in at.items():
+                for k2, c2 in bt.items():
+                    k = k1 + k2
+                    nc = get(k, 0) + c1 * c2
+                    if nc:
+                        out[k] = nc
+                    else:
+                        del out[k]
         res = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(res, "_terms", out)
+        res._terms = out
+        res._bound = bound
         return res
 
     __rmul__ = __mul__
@@ -286,6 +400,11 @@ class MultiPoly:
             return NotImplemented
         if n < 0:
             return self.unit_inverse() ** (-n)
+        if len(self._terms) == 1:
+            (k, c), = self._terms.items()
+            key, bound = ((k * n, self._bound * n) if self._bound * n <= EXPONENT_LIMIT
+                          else _encode((_VARS[s], e * n) for s, e in _fields(k)))
+            return _wrap({key: c ** n}, bound)
         result = MultiPoly.const(1)
         base = self
         while n:
@@ -299,8 +418,8 @@ class MultiPoly:
         """Inverse of a single-term polynomial (a Laurent unit)."""
         if len(self._terms) != 1:
             raise ZeroDivisionError(f"not invertible in the Laurent ring: {self}")
-        (m, c), = self._terms.items()
-        return MultiPoly({_mono_pow(m, -1): Fraction(1, 1) / c})
+        (k, c), = self._terms.items()
+        return _wrap({-k: _exact_quo(1, c)}, self._bound)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -323,32 +442,26 @@ class MultiPoly:
         invertible value (a nonzero constant or a single-term Laurent
         polynomial), otherwise ``ZeroDivisionError`` is raised.
         """
-        vals = {v: (x if isinstance(x, MultiPoly) else MultiPoly.const(x))
+        vals = {_slot(v): (x if isinstance(x, MultiPoly) else MultiPoly.const(x))
                 for v, x in assignment.items()}
         total = MultiPoly()
-        for m, c in self._terms.items():
+        for k, c in self._terms.items():
             term = MultiPoly.const(c)
-            for v, e in m:
-                if v in vals:
-                    val = vals[v]
-                    if e < 0:
-                        if val.is_zero() or not val.is_term():
-                            raise ZeroDivisionError(
-                                f"substituting non-invertible value for {var_name(v)}^{e}")
-                        factor = val.unit_inverse() ** (-e)
-                    else:
-                        factor = val ** e
-                    term = term * factor
-                else:
-                    term = term * MultiPoly({((v, e),): Fraction(1)})
-            total = total + term
+            rest = k
+            for s, e in _fields(k):
+                val = vals.get(s)
+                if val is None:
+                    continue
+                rest -= e << (_W * s)
+                term = term * val ** e   # e < 0 inverts a unit or raises
+            total = total + term._shifted(rest, self._bound)
         return total
 
     def map_vars(self, fn) -> "MultiPoly":
         """Rewrite every variable through ``fn: Var -> Var`` (a relabeling)."""
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            nm = tuple(sorted((fn(v), e) for v, e in m))
+        out: Dict[Monomial, Scalar] = {}
+        for k, c in self._terms.items():
+            nm = tuple(sorted((fn(_VARS[s]), e) for s, e in _fields(k)))
             out[nm] = out.get(nm, 0) + c
         return MultiPoly(out)
 
@@ -378,25 +491,13 @@ class MultiPoly:
 
     def monomial_content(self) -> Monomial:
         """Per-variable minimum exponent over all terms (the monomial gcd)."""
-        if not self._terms:
-            return ()
-        allvars = self.variables()
-        mins: Dict[Var, int] = {}
-        for v in allvars:
-            m = min(dict(mono).get(v, 0) for mono in self._terms)
-            if m:
-                mins[v] = m
-        return tuple(sorted(mins.items()))
+        return _decode(_content(self._terms)[0])
 
     def shift_monomial(self, mono: Monomial, power: int = 1) -> "MultiPoly":
         """Multiply every term by ``mono**power`` (exact, unit operation)."""
         if not mono or power == 0:
             return self
-        shifted = _mono_pow(mono, power)
-        out = {_mono_mul(m, shifted): c for m, c in self._terms.items()}
-        res = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(res, "_terms", out)
-        return res
+        return self._shifted(*_encode((v, e * power) for v, e in mono))
 
     def rational_content(self) -> Fraction:
         """gcd of the coefficients (positive), 0 for the zero polynomial."""
@@ -440,6 +541,19 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
+def _wrap(terms: Dict[int, Scalar], bound: int) -> MultiPoly:
+    """A polynomial over already packed, nonzero terms."""
+    res = MultiPoly.__new__(MultiPoly)
+    res._terms = terms
+    res._bound = bound
+    return res
+
+
+def _exact_quo(a_: Scalar, b_: Scalar) -> Scalar:
+    q_ = Fraction(a_, b_)
+    return q_.numerator if q_.denominator == 1 else q_
+
+
 # -- convenient variable factories -------------------------------------------
 
 def b(i: int) -> MultiPoly:
@@ -473,25 +587,17 @@ def x() -> MultiPoly:
 X_VAR: Var = ("x", -1)
 Q_VAR: Var = ("q", -1)
 
-ZERO = MultiPoly.zero()
-ONE = MultiPoly.const(1)
-
-
-def poly(c: Scalar) -> MultiPoly:
-    return MultiPoly.const(c)
-
-
 # -- exact division and gcd ---------------------------------------------------
 
 class ExactDivisionError(ArithmeticError):
     pass
 
 
-def _strip_laurent(p: MultiPoly) -> Tuple[Monomial, MultiPoly]:
-    """Factor p = mono * phat where phat is a true polynomial with
-    zero monomial content (every variable has minimum exponent 0)."""
-    mono = p.monomial_content()
-    return mono, p.shift_monomial(mono, -1)
+def _strip_laurent(p: MultiPoly) -> Tuple[int, int, MultiPoly]:
+    """Factor p = mono * phat, phat a true polynomial with zero monomial
+    content (every variable has minimum exponent 0): (mono, bound, phat)."""
+    key, kb = _content(p._terms)
+    return key, kb, p._shifted(-key, kb)
 
 
 def _main_var(p: MultiPoly) -> Var | None:
@@ -508,14 +614,19 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return MultiPoly()
-    mono_f, fh = _strip_laurent(f)
-    mono_g, gh = _strip_laurent(g)
-    quot_mono = _mono_mul(mono_f, _mono_pow(mono_g, -1))
+    key_f, bound_f, fh = _strip_laurent(f)
+    key_g, bound_g, gh = _strip_laurent(g)
+    # the quotient's monomial content is key_f - key_g
+    quot_bound = bound_f + bound_g
+    if quot_bound > EXPONENT_LIMIT:
+        quot_bound = _product_bound((key_f,), (-key_g,))
+    quot_key = key_f - key_g
     if gh.is_const():
-        c = gh.as_fraction()
-        res = MultiPoly({m: cf / c for m, cf in fh._terms.items()})
-        return res.shift_monomial(quot_mono)
+        c = gh._terms[0]
+        quo = _wrap({k: _exact_quo(cf, c) for k, cf in fh._terms.items()}, fh._bound)
+        return quo._shifted(quot_key, quot_bound)
     v = _main_var(gh)
+    sh = _W * _SLOT[v]
     fu = fh.as_univariate(v)
     gu = gh.as_univariate(v)
     dg = max(gu)
@@ -530,7 +641,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if qc.is_zero():
             raise ExactDivisionError("division not exact")
         shift = df - dg
-        out = out + qc * MultiPoly.variable(v[0], None if v[1] == -1 else v[1], 1) ** shift
+        out = out + qc._shifted(shift << sh, shift)
         # subtract qc * g * v**shift from the running remainder
         for e, gc in gu.items():
             delta = qc * gc
@@ -540,7 +651,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 fu.pop(e + shift, None)
             else:
                 fu[e + shift] = nc
-    return out.shift_monomial(quot_mono)
+    return out._shifted(quot_key, quot_bound)
 
 
 def _frac_gcd(a_: Fraction, b_: Fraction) -> Fraction:
@@ -567,9 +678,9 @@ def _content_and_pp(p: MultiPoly, v: Var) -> Tuple[MultiPoly, Dict[int, MultiPol
 
 def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
     out = MultiPoly()
-    xv = MultiPoly({((v, 1),): Fraction(1)})
+    sh = _W * _slot(v)
     for e, c in pu.items():
-        out = out + c * (xv ** e)
+        out = out + c._shifted(e << sh, abs(e))
     return out
 
 
@@ -578,15 +689,17 @@ _PROBE_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def _project_univariate(p: MultiPoly, w: Var, point: Dict[Var, int]) -> Dict[int, Fraction]:
     """Evaluate all variables but w at integer values; {w-exponent: value}."""
+    ws = _SLOT[w]
+    at = {_SLOT[v]: x for v, x in point.items()}
     out: Dict[int, Fraction] = {}
-    for m, c in p._terms.items():
+    for k, c in p._terms.items():
         val = c
         we = 0
-        for v, e in m:
-            if v == w:
+        for s, e in _fields(k):
+            if s == ws:
                 we = e
             else:
-                val = val * point[v] ** e
+                val = val * at[s] ** e if e > 0 else val * Fraction(1, at[s] ** -e)
         if val:
             out[we] = out.get(we, 0) + val
     return {e: c for e, c in out.items() if c}
@@ -654,8 +767,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _normalize_gcd(g)
     if g.is_zero():
         return _normalize_gcd(f)
-    _, fh = _strip_laurent(f)
-    _, gh = _strip_laurent(g)
+    _, _, fh = _strip_laurent(f)
+    _, _, gh = _strip_laurent(g)
     if fh.is_const() or gh.is_const():
         return MultiPoly.const(1)
     common = fh.variables() & gh.variables()
@@ -681,12 +794,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _normalize_gcd(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    _, ph = _strip_laurent(p)
+    _, _, ph = _strip_laurent(p)
     cont = ph.rational_content()
     _, lead_c = ph.leading()
     sign = -1 if lead_c < 0 else 1
-    scale = Fraction(1) / (cont * sign)
-    return MultiPoly({m: c * scale for m, c in ph._terms.items()})
+    return ph * (Fraction(1) / (cont * sign))
 
 
 def _pseudo_rem(fu: Dict[int, MultiPoly], gu: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
@@ -726,19 +838,13 @@ def _cheap_strip(r: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
         cont = _frac_gcd(cont, p.rational_content())
         if cont == 1:
             break
-    mono = polys[0].monomial_content()
-    for p in polys[1:]:
-        if not mono:
-            break
-        other = dict(p.monomial_content())
-        mono = tuple((v, min(e, other[v])) for v, e in mono
-                     if v in other and min(e, other[v]) != 0)
+    key, kb = _content(k for p in polys for k in p._terms)
     out = r
     if cont not in (0, 1):
         inv = Fraction(1) / cont
         out = {e: p * inv for e, p in out.items()}
-    if mono:
-        out = {e: p.shift_monomial(mono, -1) for e, p in out.items()}
+    if key:
+        out = {e: p._shifted(-key, kb) for e, p in out.items()}
     return out
 
 

@@ -80,10 +80,6 @@ class RatFunc:
 
     # -- basics --------------------------------------------------------------
 
-    @classmethod
-    def from_scalar(cls, c: Scalar) -> "RatFunc":
-        return cls(MultiPoly.const(c))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -29,7 +29,7 @@ from .moments import (
     v_inverse_closed_form,
     well_defined,
 )
-from .poly import MultiPoly
+from .poly import Q_VAR, MultiPoly
 from .ratfunc import (
     RatFunc,
     SeriesCoefficientError,
@@ -387,7 +387,6 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
                 for i in range(m)]
         rhs = determinant(Matrix(rows))
         return check_values("rpp", params, lhs, rhs)
-    qv = ("q", -1)
     if mode == "q":
         expo = rpp_prefactor_exponent(n, m)
         lhs = MultiPoly.zero()
@@ -434,15 +433,13 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
                                  witness="entry-bound stabilization failed")
         rhs_series = MultiPoly.variable("q", exp=-expo) * dets[0]
         rhs_coeffs = [0] * trunc
-        for mono, coeff in rhs_series.terms():
-            e = dict(mono).get(qv, 0)
+        for e, coeff in rhs_series.as_univariate(Q_VAR).items():
             if 0 <= e < trunc:
-                rhs_coeffs[e] += int(coeff)
-        lhs_p = MultiPoly({((qv, t),) if t else (): Fraction(c)
-                           for t, c in enumerate(lhs_coeffs) if c})
-        rhs_p = MultiPoly({((qv, t),) if t else (): Fraction(c)
-                           for t, c in enumerate(rhs_coeffs) if c})
-        return check_values("rpp", params, lhs_p, rhs_p)
+                rhs_coeffs[e] += int(coeff.as_fraction())
+        def q_series(coeffs: List[int]) -> MultiPoly:
+            return sum((c * MultiPoly.variable("q", exp=t) for t, c in enumerate(coeffs)),
+                       MultiPoly.zero())
+        return check_values("rpp", params, q_series(lhs_coeffs), q_series(rhs_coeffs))
     return skipped("rpp", params, f"unknown mode {mode!r}")
 
 

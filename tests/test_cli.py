@@ -142,3 +142,94 @@ def test_verify_csv(capsys):
 def test_bad_range_usage_error(capsys):
     code, _, err = run_cli(["moment", "--n", "5..1", "--k", "1"], capsys)
     assert code == 2 and "error" in err
+
+
+# -- exact negative moments, per-tuple isolation, exit codes, worker count ------
+
+def test_moment_negative_matches_sympy(capsys):
+    """mu_{-n} = (A^{-n})_{0,0} = (adj(A)^n)_{0,0} / det(A)^n for the
+    tridiagonal transfer matrix A."""
+    sympy = pytest.importorskip("sympy")
+    k = 3
+    b = sympy.symbols(f"b0:{k + 1}")
+    A = sympy.Matrix(k + 1, k + 1, lambda i, j: b[i] if i == j else 1 if abs(i - j) == 1 else 0)
+    adj, det = A.adjugate(), A.det()
+    code, out, _ = run_cli(["moment", "--n", "1..3", "--k", "3", "--negative",
+                            "--lambda", "one"], capsys)
+    assert code == 0
+    column = sympy.eye(k + 1)[:, 0]
+    names = {str(s): s for s in b}
+    for n, line in enumerate(data_lines(out), 1):
+        column = (adj * column).applyfunc(sympy.expand)
+        num, den = sympy.fraction(sympy.together(
+            sympy.parse_expr(line.split(" ", 1)[1].replace("^", "**"), local_dict=names)))
+        assert sympy.expand(num * det ** n - column[0] * den) == 0, n
+
+
+def test_moment_negative_huge_weight_stays_exact(capsys):
+    code, out, _ = run_cli(["moment", "--n", "3", "--k", "1", "--b", "custom:[1e400]",
+                            "--negative"], capsys)
+    assert code == 0
+    assert str(10 ** 400) in out
+
+
+def test_verify_out_of_domain_tuple_is_skipped(capsys):
+    code, out, _ = run_cli(["verify", "ck", "--n", "0..2", "--k", "1..2"], capsys)
+    assert code == 0
+    rows = data_lines(out)
+    assert len(rows) == 6
+    assert rows[0] == "ck params=n=0,k=1 status=SKIPPED"
+    assert all(r.endswith("status=PASS") for r in rows[2:])
+    code, out, _ = run_cli(["verify", "ck", "--n", "0", "--k", "1", "--format", "json"],
+                           capsys)
+    assert json.loads(out)["results"][0]["witness"] == "negative index n must be >= 1"
+
+
+def test_verify_unexpected_error_has_own_exit_code(capsys, monkeypatch):
+    from negmom import cli
+
+    def boom(params):
+        if params["n"] == 2:
+            raise RuntimeError("boom")
+        return cli.reciprocity.check_ck(params["n"], params["k"])
+
+    monkeypatch.setitem(cli._CHECKS, "ck", boom)
+    code, out, _ = run_cli(["verify", "ck", "--n", "1..3", "--k", "1"], capsys)
+    assert code == cli.INTERNAL_ERROR != cli.FAIL_ERROR
+    assert data_lines(out) == ["ck params=n=1,k=1 status=PASS",
+                               "ck params=n=2,k=1 status=ERROR error=RuntimeError: boom",
+                               "ck params=n=3,k=1 status=PASS"]
+
+
+def test_unexpected_error_outside_verify_exits_3(capsys, monkeypatch):
+    from negmom import cli
+
+    def boom(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_moment", boom)
+    code, _, err = run_cli(["moment", "--n", "1", "--k", "1"], capsys)
+    assert code == cli.INTERNAL_ERROR
+    assert "internal error: KeyError" in err
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "abc", "", "1.5"])
+def test_worker_count_rejects_non_positive_integers(text):
+    from negmom.cli import worker_count
+    with pytest.raises(ValueError, match="NEGMOM_THREADS"):
+        worker_count(text, 4)
+
+
+def test_worker_count_defaults_and_clamps():
+    from negmom.cli import worker_count
+    assert worker_count(None, 4) == 1
+    assert worker_count("3", 4) == 3
+    assert worker_count(str(10 ** 6), 4) == 4
+    assert worker_count(str(10 ** 6), None) == 1
+
+
+def test_bad_worker_count_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NEGMOM_THREADS", "abc")
+    code, _, err = run_cli(["verify", "ck", "--n", "1", "--k", "1"], capsys)
+    assert code == 2
+    assert "NEGMOM_THREADS" in err

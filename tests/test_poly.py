@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.poly import (
@@ -152,3 +154,167 @@ def test_var_validation():
     with pytest.raises(ValueError):
         make_var("b", None)
     assert make_var("q") == ("q", -1)
+
+
+# -- exact coefficients ----------------------------------------------------------
+
+def test_exact_division_by_constant_stays_exact():
+    assert poly_div_exact(MultiPoly.const(7 * 3 ** 40), MultiPoly.const(7)) == \
+        MultiPoly.const(3 ** 40)
+    assert poly_div_exact(MultiPoly.const(3), MultiPoly.const(2)).as_fraction() == \
+        Fraction(3, 2)
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        MultiPoly.const(0.5)
+    with pytest.raises(TypeError):
+        MultiPoly({((("b", 0), 1),): 2.0})
+    with pytest.raises(TypeError):
+        P.b(0) * 1.5
+
+
+# -- packed monomials: property tests ----------------------------------------------
+
+VARS = ([("b", i) for i in range(8)] + [("lam", i) for i in range(1, 7)]
+        + [("V", i) for i in range(4)] + [("A", i) for i in range(1, 4)]
+        + [("q", -1), ("x", -1)])
+assert len(VARS) > 16
+
+coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+monos = st.lists(st.tuples(st.sampled_from(VARS), st.integers(-3, 3)), max_size=4)
+laurent = st.dictionaries(monos.map(tuple), coeffs, max_size=5).map(MultiPoly)
+nonzero = laurent.filter(lambda p: not p.is_zero())
+# true polynomials in a few variables, small enough for sympy
+small_monos = st.lists(st.tuples(st.sampled_from(VARS[:2] + VARS[-2:]), st.integers(0, 2)),
+                       max_size=3)
+small = st.dictionaries(small_monos.map(tuple), st.integers(-4, 4), max_size=3).map(MultiPoly)
+settings_ = settings(max_examples=60, deadline=None)
+
+
+@settings_
+@given(laurent, laurent, laurent)
+def test_ring_axioms(p, q_, r):
+    assert (p * q_) * r == p * (q_ * r)
+    assert p * (q_ + r) == p * q_ + p * r
+    assert p * q_ == q_ * p
+    assert (p + q_) + r == p + (q_ + r)
+    assert p - q_ == p + (-q_)
+    assert (p - p).is_zero() and p * 1 == p and p + 0 == p
+
+
+@settings_
+@given(laurent, laurent)
+def test_product_matches_tuple_monomial_reference(p, q_):
+    want = {}
+    for m1, c1 in p.terms():
+        for m2, c2 in q_.terms():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted((v, e) for v, e in exps.items() if e))
+            want[m] = want.get(m, 0) + c1 * c2
+    assert dict((p * q_).terms()) == {m: c for m, c in want.items() if c}
+
+
+@settings_
+@given(laurent)
+def test_terms_round_trip(p):
+    terms = list(p.terms())
+    assert MultiPoly(dict(terms)) == p
+    assert MultiPoly(dict(terms)).render() == p.render()
+    for mono, c in terms:
+        assert mono == tuple(sorted(mono)) and all(e for _, e in mono) and c
+
+
+@settings_
+@given(laurent, nonzero)
+def test_div_exact_inverts_mul(f, g):
+    assert poly_div_exact(f * g, g) == f
+
+
+@settings(max_examples=30, deadline=None)
+@given(small, small, small)
+def test_gcd_agrees_with_sympy(f, g, h):
+    sympy = pytest.importorskip("sympy")
+    if f.is_zero() or g.is_zero() or h.is_zero():
+        return
+    names = {P.var_name(v): sympy.Symbol(P.var_name(v)) for v in VARS}
+
+    def to_sympy(p):
+        return sympy.parse_expr(p.render().replace("^", "**"), local_dict=names)
+
+    ratio = sympy.cancel(to_sympy(poly_gcd(f * h, g * h)) / sympy.gcd(to_sympy(f * h),
+                                                                      to_sympy(g * h)))
+    # equal up to units of the Laurent ring: a rational times a monomial
+    for part in sympy.fraction(ratio):
+        assert len(sympy.Poly(part, *names.values()).terms()) == 1
+
+
+LIMIT = P.EXPONENT_LIMIT
+
+
+@settings_
+@given(st.integers(-2 * LIMIT, 2 * LIMIT))
+def test_constructor_refuses_exponents_past_the_field(e):
+    if abs(e) > LIMIT:
+        with pytest.raises(OverflowError):
+            MultiPoly.variable("b", 0, e)
+    else:
+        assert MultiPoly.variable("b", 0, e).degree(("b", 0)) == e
+
+
+@settings_
+@given(st.integers(-LIMIT, LIMIT), st.integers(-LIMIT, LIMIT), st.integers(-3, 3),
+       st.sampled_from(VARS))
+def test_products_raise_rather_than_wrap(e1, e2, f, other):
+    v = ("b", 0)
+    same = f if other == v else 0
+    assume(abs(e1 + same) <= LIMIT)
+    p = MultiPoly({((v, e1), (other, f)): 1})
+    q_ = MultiPoly({((v, e2),): 1})
+    if abs(e1 + e2 + same) > LIMIT:
+        with pytest.raises(OverflowError):
+            p * q_
+        return
+    prod = p * q_
+    assert prod == MultiPoly({((v, e1 + e2), (other, f)): 1})
+    assert prod.degree(v) == e1 + e2 + same
+    if other != v:
+        assert prod.degree(other) == f
+
+
+def test_overflow_at_field_limit():
+    x_, b0, b1 = P.x(), P.b(0), P.b(1)
+    top = MultiPoly.variable("x", exp=LIMIT)
+    with pytest.raises(OverflowError):
+        top * x_
+    with pytest.raises(OverflowError):
+        MultiPoly.variable("x", exp=-LIMIT - 1)
+    with pytest.raises(OverflowError):
+        (x_ * x_) ** LIMIT
+    with pytest.raises(OverflowError):
+        (top + 1) ** 2
+    with pytest.raises(OverflowError):
+        b1.shift_monomial(((("b", 1), LIMIT),))
+    # a bound past the limit is rechecked exactly, not refused
+    assert top * MultiPoly.variable("x", exp=-LIMIT) == 1
+    assert (b0 ** LIMIT * b1) * b0 ** -1 == b0 ** (LIMIT - 1) * b1
+    assert (top + x_ ** 5) * x_ ** -5 == MultiPoly.variable("x", exp=LIMIT - 5) + 1
+
+
+def test_pickle_round_trip():
+    import pickle
+    p = P.b(0) ** 2 * MultiPoly.variable("V", 3, -1) - Fraction(1, 3) * P.q()
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_only_poly_reads_packed_terms():
+    """Packed keys stay inside poly.py: no other module reads ``._terms``."""
+    import ast
+    import pathlib
+    src = pathlib.Path(P.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py")) if path.name != "poly.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+    assert readers == []
