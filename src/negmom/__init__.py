@@ -11,7 +11,6 @@ from .moments import (
     negative_moment,
     negative_moment_gf,
     orth_poly,
-    pv_closed_forms,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
@@ -20,6 +19,7 @@ from .moments import (
 )
 from .poly import MultiPoly, poly_div_exact, poly_gcd
 from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand
+from .reciprocity import pv_closed_forms
 from .weights import WeightSpec, spec
 
 __all__ = [

@@ -17,13 +17,11 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import paths, reciprocity
 from .moments import (
     IllDefinedError,
-    bounded_moment,
     moment_vectors,
     negative_moment,
     well_defined,
@@ -312,6 +310,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    report = Report("verify", {"identity": identity}, ["line"])   # starts the clock
     jobs = [(identity, key, params) for key, params in tuples]
     workers = worker_count(os.environ.get("NEGMOM_THREADS"), os.cpu_count())
     if workers > 1 and len(jobs) > 1:
@@ -321,7 +320,6 @@ def cmd_verify(args) -> int:
     else:
         results = [_run_one(job) for job in jobs]
     results.sort(key=lambda r: r[0])
-    report = Report("verify", {"identity": identity}, ["line"])
     for key, params, status, witness in results:
         ptxt = ",".join(f"{k}={v}" for k, v in params.items())
         line = f"{identity} params={ptxt} status={status}"

@@ -11,10 +11,10 @@ index n).
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 from . import paths
-from .poly import MultiPoly, X_VAR
+from .poly import MultiPoly
 from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand, x_coeffs
 from .weights import WeightSpec, laurent_reciprocal
 

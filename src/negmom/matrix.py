@@ -3,8 +3,10 @@
 Determinants of polynomial matrices use fraction-free Bareiss
 elimination (with row pivoting on symbolic zeros), or cofactor expansion
 for small matrices of large polynomials; matrices of rational functions
-use cofactor expansion.  Inverses are adjugate/determinant pairs with
-entries reduced as rational functions.
+use cofactor expansion.  The adjugate stays in the polynomial ring
+(A adj(A) = det(A) I), so the moment engine steps inverse powers with it
+and divides by a power of det(A) once; ``matrix_inverse`` materializes
+adj(A) / det(A) as reduced RatFunc entries for the minor-identity check.
 """
 
 from __future__ import annotations

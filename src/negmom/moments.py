@@ -10,28 +10,24 @@ height s.  The backward side extends that sequence along its linear
 recurrence; three independent routes are provided (generating-function
 reversal, inverse-matrix powers, explicit recurrence stepping) and are
 tested against each other and against the path oracles.
+
+Every backward value is a quotient whose only denominator is a power of
+P_{k+1}(0) = +-det A.  Each route keeps its numerators in the polynomial
+ring (the series by ``series_expand``, the matrix route by stepping with
+adj(A), the recurrence by scaling its window) and divides by that power
+once, so a value is a MultiPoly when it is polynomial and a reduced
+RatFunc otherwise.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
-from . import paths
-from .matrix import Matrix, SingularMatrixError, matrix_inverse
+from .matrix import Matrix, SingularMatrixError, adjugate, determinant
 from .poly import MultiPoly, X_VAR
-from .ratfunc import (
-    RatFunc,
-    SeriesCoefficientError,
-    cf_eval,
-    deg_x,
-    reverse_gf,
-    series_expand,
-    series_expand_rat,
-    x_coeffs,
-)
-from .weights import WeightSpec, av_lambda, dyck_v, v_inverse
+from .ratfunc import RatFunc, cf_eval, over_power, reverse_gf, series_expand, x_coeffs
+from .weights import WeightSpec
 
 Value = Union[MultiPoly, RatFunc]
 
@@ -88,6 +84,28 @@ def moment_vectors(k: int, spec: WeightSpec, r: int, n_max: int) -> Iterator[Lis
             nu.append(acc)
         u = nu
         yield u
+
+
+def adjugate_vectors(k: int, spec: WeightSpec, r: int,
+                     t_max: int) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
+    """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
+    ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
+    e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
+    caller; a singular A raises IllDefinedError."""
+    if not 0 <= r <= k:
+        raise IndexError(f"start height {r} outside [0, {k}]")
+    A = transfer_matrix(k, spec)
+    det = determinant(A)
+    if det.is_zero():
+        raise IllDefinedError(f"transfer matrix singular for {spec.name}", det)
+    C = adjugate(A)
+    u = [MultiPoly.const(1) if i == r else MultiPoly.zero() for i in range(k + 1)]
+    out = [u]
+    for _ in range(t_max):
+        u = [sum((u[t] * C[t, j] for t in range(k + 1)), MultiPoly.zero())
+             for j in range(k + 1)]
+        out.append(u)
+    return det, out
 
 
 def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPoly:
@@ -203,15 +221,10 @@ def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec,
         raise IllDefinedError(
             f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
     if method == "gf-reverse":
-        return _series_coefficient(_reversed_moment_gf(r, s, k, spec), n)
+        return series_expand(_reversed_moment_gf(r, s, k, spec), n + 1)[n]
     if method == "matrix-inverse":
-        inv = inverse_transfer(k, spec)
-        u: List[Value] = [RatFunc(1) if i == r else RatFunc(0) for i in range(k + 1)]
-        for _ in range(n):
-            u = [sum((u[t] * inv[t, j] for t in range(k + 1)), RatFunc(0))
-                 for j in range(k + 1)]
-        val = u[s]
-        return val.as_poly_or_self() if isinstance(val, RatFunc) else val
+        det, vecs = adjugate_vectors(k, spec, r, n)
+        return over_power(vecs[n][s], det, n)
     if method == "recurrence":
         return _recurrence_extension(n, r, s, k, spec)
     raise ValueError(f"unknown method {method!r}")
@@ -222,25 +235,9 @@ def _reversed_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
     return reverse_gf(moment_gf(r, s, k, spec))
 
 
-def _series_coefficient(f: RatFunc, n: int) -> Value:
-    try:
-        return series_expand(f, n + 1)[n]
-    except SeriesCoefficientError:
-        val = series_expand_rat(f, n + 1)[n]
-        return val.as_poly_or_self()
-
-
-def inverse_transfer(k: int, spec: WeightSpec) -> Matrix:
-    """Inverse of the transfer matrix, raising IllDefinedError when singular."""
-    try:
-        return matrix_inverse(transfer_matrix(k, spec))
-    except SingularMatrixError as exc:
-        raise IllDefinedError(f"transfer matrix singular for {spec.name}",
-                              exc.determinant) from exc
-
-
 def _recurrence_extension(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
-    """Step the reduced-denominator recurrence backwards to index -n."""
+    """Step the reduced-denominator recurrence backwards to index -n,
+    fraction-free: one division by q_d^n at the end."""
     f = moment_gf(r, s, k, spec)
     if f.is_zero():
         return MultiPoly.zero()
@@ -249,18 +246,19 @@ def _recurrence_extension(n: int, r: int, s: int, k: int, spec: WeightSpec) -> V
     if d == 0:
         raise IllDefinedError("moment sequence admits no homogeneous recurrence",
                               well_defined(k, spec)[1])
-    # window holds [c_t, ..., c_{t+d-1}], initially t = 0
-    window: List[RatFunc] = list(series_expand_rat(f, d))
-    qd = RatFunc(qu[d])
+    # window holds q_d^i [c_{-i}, ..., c_{d-1-i}] after i steps; den(0) = 1,
+    # so the forward window is polynomial
+    window: List[MultiPoly] = series_expand(f, d)
+    qd = qu[d]
     for _ in range(n):
         # homogeneous relation sum_{j=0}^{d} q_j c_{m-j} = 0 defines c_{m-d}
-        acc = RatFunc(0)
+        acc = MultiPoly.zero()
         for j in range(0, d):
             qj = qu.get(j)
             if qj is not None:
-                acc = acc - RatFunc(qj) * window[d - 1 - j]
-        window = [acc / qd] + window[:-1]
-    return window[0].as_poly_or_self()
+                acc = acc - qj * window[d - 1 - j]
+        window = [acc] + [w * qd for w in window[:-1]]
+    return over_power(window[0], qd, n)
 
 
 def extended_moment(j: int, r: int, s: int, k: int, spec: WeightSpec,
@@ -273,12 +271,14 @@ def extended_moment(j: int, r: int, s: int, k: int, spec: WeightSpec,
 
 # -- closed-form tridiagonal inverses ---------------------------------------------
 
-def usmani_inverse(k: int, spec: WeightSpec) -> Matrix:
-    """Tridiagonal inverse from the forward/backward continuant recurrences.
+def usmani_inverse(k: int, spec: WeightSpec) -> Tuple[Matrix, MultiPoly]:
+    """Tridiagonal inverse A^{-1} = N / theta_{k+1} from the forward/backward
+    continuant recurrences, as the polynomial pair (N, theta_{k+1}) with
+    A N = theta_{k+1} I; theta_{k+1} = det A and N = adj(A).
 
     theta_i runs the leading principal minors and phi_i the trailing ones;
-    the (i, j) entry is (-1)^{i+j} theta_i phi_{j+2} / theta_{k+1} above the
-    diagonal, with the product lam_{j+1}..lam_i attached below it.
+    N_{ij} is (-1)^{i+j} theta_i phi_{j+2} on and above the diagonal, with
+    the product lam_{j+1}..lam_i attached below it.
     """
     theta: List[MultiPoly] = [MultiPoly.const(1)]
     for i in range(1, k + 2):
@@ -309,9 +309,9 @@ def usmani_inverse(k: int, spec: WeightSpec) -> Matrix:
                 num = prod * theta[j] * phi[i + 2]
             if (i + j) % 2:
                 num = -num
-            row.append(RatFunc(num, det))
+            row.append(num)
         rows.append(row)
-    return Matrix(rows)
+    return Matrix(rows), det
 
 
 def v_inverse_closed_form(k: int) -> Matrix:
@@ -358,68 +358,3 @@ def v_inverse_closed_form(k: int) -> Matrix:
             row.append(mono)
         rows.append(row)
     return Matrix(rows)
-
-
-# -- peak-valley closed forms -------------------------------------------------------
-
-def _v_ratio(r: int, s: int) -> MultiPoly:
-    """(V_0 ... V_s) / (V_0 ... V_{r-1}) as a Laurent monomial."""
-    mono = MultiPoly.const(1)
-    for t in range(0, s + 1):
-        mono = mono * MultiPoly.variable("V", t)
-    for t in range(0, r):
-        mono = mono * MultiPoly.variable("V", t, -1)
-    return mono
-
-
-def pv_closed_forms(which: str, n: int, k: int,
-                    r: int = 0, s: int = 0) -> Tuple[Value, Value]:
-    """Both sides of a peak-valley moment identity; the caller asserts equality.
-
-    The left side is the negative moment computed from the closed-form
-    machinery, the right side a brute-force weighted sequence count.
-    Boundary conventions at n = 1 follow the (r, s)-pinned sets, which is
-    what the inverse-matrix expansion actually produces.
-    """
-    if which == "2PV":
-        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(2, 2 * n - 1, 2 * k - 1):
-            total = total + paths.wt_seq_v(seq)
-        return lhs, MultiPoly.variable("V", 0) * total
-    if which == "3PV":
-        lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0):
-            total = total + paths.wt_seq_v(seq)
-        return lhs, MultiPoly.variable("V", 0) * total
-    if which == "3PV-modified":
-        lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0):
-            total = total + paths.wt_seq_v(seq)
-        sign = -1 if n % 2 else 1
-        return lhs, sign * MultiPoly.variable("V", 0) * total
-    if which == "3PV-rs":
-        bound = 3 * k - 1
-        lhs = negative_moment(n, r, s, bound, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, bound, r=r, s=s):
-            total = total + paths.wt_seq_v(seq)
-        sign = -1 if (r // 3 + s // 3) % 2 else 1
-        return lhs, sign * _v_ratio(r, s) * total
-    if which == "3PV-modified-rs":
-        bound = 3 * k
-        lhs = negative_moment(n, r, s, bound, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s):
-            total = total + paths.wt_seq_v(seq)
-        sign = -1 if ((r + 1) // 3 + (s + 1) // 3 + n) % 2 else 1
-        return lhs, sign * _v_ratio(r, s) * total
-    if which == "weighted-Alt":
-        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda())
-        total = MultiPoly.zero()
-        for seq in paths.alt_sequences(2 * n - 1, k):
-            total = total + paths.wt_seq_av(seq)
-        return lhs, MultiPoly.variable("V", 1) * total.swap_av(k)
-    raise ValueError(f"unknown identity {which!r}")

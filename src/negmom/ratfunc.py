@@ -7,13 +7,16 @@ primitive polynomial whose leading coefficient is positive, so equality
 of reduced forms is structural.
 
 The series utilities treat ``x`` as the distinguished series variable;
-all other variables ride along inside the coefficients.
+all other variables ride along inside the coefficients.  Series and
+power quotients are fraction-free (after Bareiss 1968): numerators stay
+in the polynomial ring and the one known denominator, a power of den(0),
+is divided out once at the end (``over_power``), never by a gcd per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from .poly import (
     ExactDivisionError,
@@ -25,10 +28,6 @@ from .poly import (
 
 Scalar = Union[int, Fraction]
 PolyLike = Union[MultiPoly, int, Fraction]
-
-
-class SeriesCoefficientError(ArithmeticError):
-    """A series coefficient left the polynomial ring."""
 
 
 def _as_poly(p: PolyLike) -> MultiPoly:
@@ -91,12 +90,6 @@ class RatFunc:
             return self.num
         q = poly_div_exact(self.num, self.den)  # raises when not exact
         return q
-
-    def as_poly_or_self(self):
-        try:
-            return self.as_poly()
-        except (ExactDivisionError, ZeroDivisionError):
-            return self
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -216,65 +209,69 @@ def deg_x(p: MultiPoly) -> int:
     return max(u) if u else -1
 
 
-def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
+def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc]:
+    """num / d**e in lowest terms: a MultiPoly when the quotient is
+    polynomial, a reduced RatFunc otherwise.
+
+    Factors of d are stripped from num by trial exact division before the
+    one RatFunc is built; a gcd against a power of d would run the full PRS.
+    """
+    if d.is_term():
+        return num * d.unit_inverse() ** e
+    while e and not num.is_zero():
+        try:
+            num = poly_div_exact(num, d)
+        except ExactDivisionError:
+            return RatFunc(num, d ** e)
+        e -= 1
+    return num
+
+
+def series_expand(f: RatFunc, n_terms: int) -> List[Union[MultiPoly, RatFunc]]:
     """First ``n_terms`` power-series coefficients of f around x = 0.
 
-    Requires den(0) (the x-constant term) to be invertible in the
-    Laurent ring, or the coefficients to stay polynomial; otherwise
-    SeriesCoefficientError is raised.  Use ``series_expand_rat`` when the
-    coefficients are genuinely rational in the remaining variables.
+    With den = d0 + d1 x + ... and num = a0 + a1 x + ..., the coefficients
+    c_n satisfy d0 c_n = a_n - sum_j d_j c_{n-j}.  When d0 is a Laurent
+    unit each c_n is that right side times d0's inverse, a MultiPoly.
+    Otherwise the expansion is fraction-free: N_n = c_n d0^{n+1} obeys
+
+        N_n = a_n d0^n - sum_j d_j N_{n-j} d0^{j-1}
+
+    in the polynomial ring, and each c_n = N_n / d0^{n+1} is divided out
+    once by ``over_power``, so c_n is a MultiPoly when it is polynomial and
+    a reduced RatFunc otherwise.
     """
-    out: List[MultiPoly] = []
-    for c in _series_stream(f, n_terms, rational=False):
-        out.append(c)
-    return out
-
-
-def series_expand_rat(f: RatFunc, n_terms: int) -> List[RatFunc]:
-    """Series coefficients as rational functions of the other variables."""
-    return list(_series_stream(f, n_terms, rational=True))
-
-
-def _series_stream(f: RatFunc, n_terms: int, rational: bool):
     den_u = x_coeffs(f.den)
     num_u = x_coeffs(f.num)
     if min(den_u, default=0) < 0 or min(num_u, default=0) < 0:
         raise ZeroDivisionError("pole at x = 0: negative power of x")
-    d0 = den_u.get(0)
-    if d0 is None or d0.is_zero():
+    d0 = den_u.pop(0, None)
+    if d0 is None:
         raise ZeroDivisionError("denominator vanishes at x = 0")
-    if rational:
-        inv0 = RatFunc(1, d0)
-        coeffs: List[RatFunc] = []
+    zero = MultiPoly.zero()
+    if d0.is_term():
+        inv0 = d0.unit_inverse()
+        coeffs: List[MultiPoly] = []
         for n in range(n_terms):
-            acc = RatFunc(num_u.get(n, MultiPoly.zero()))
-            for j in range(1, n + 1):
-                dj = den_u.get(j)
-                if dj is not None:
-                    acc = acc - RatFunc(dj) * coeffs[n - j]
-            c = acc * inv0
-            coeffs.append(c)
-            yield c
-        return
-    unit = d0.is_term()
-    inv_unit = d0.unit_inverse() if unit else None
-    pcoeffs: List[MultiPoly] = []
+            acc = num_u.get(n, zero)
+            for j, dj in den_u.items():
+                if j <= n:
+                    acc = acc - dj * coeffs[n - j]
+            coeffs.append(acc * inv0)
+        return coeffs
+    powers = [MultiPoly.const(1)]          # powers[i] = d0^i
+    scaled: List[MultiPoly] = []           # scaled[n] = N_n
+    out: List[Union[MultiPoly, RatFunc]] = []
     for n in range(n_terms):
-        acc = num_u.get(n, MultiPoly.zero())
-        for j in range(1, n + 1):
-            dj = den_u.get(j)
-            if dj is not None:
-                acc = acc - dj * pcoeffs[n - j]
-        if unit:
-            c = acc * inv_unit
-        else:
-            try:
-                c = poly_div_exact(acc, d0)
-            except ExactDivisionError as exc:
-                raise SeriesCoefficientError(
-                    f"series coefficient {n} is not polynomial") from exc
-        pcoeffs.append(c)
-        yield c
+        if n:
+            powers.append(powers[-1] * d0)
+        acc = num_u[n] * powers[n] if n in num_u else zero
+        for j, dj in den_u.items():
+            if j <= n:
+                acc = acc - dj * scaled[n - j] * powers[j - 1]
+        scaled.append(acc)
+        out.append(over_power(acc, d0, n + 1))
+    return out
 
 
 def invert_x(p: MultiPoly, degree: int) -> MultiPoly:
@@ -322,9 +319,7 @@ def double_reversal(f: RatFunc) -> RatFunc:
 
     Applying this twice recovers ``f`` exactly.
     """
-    f0 = series_expand_rat(f, 1)[0]
-    rev = reverse_gf(f)
-    return RatFunc(f0.num) / RatFunc(f0.den) + rev
+    return reverse_gf(f) + series_expand(f, 1)[0]
 
 
 def cf_eval(partial_numerators: Sequence[PolyLike],

@@ -16,33 +16,28 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import paths
-from .matrix import Matrix, adjugate, determinant, matrix_reverse_index
+from .matrix import Matrix, determinant, matrix_reverse_index
 from .moments import (
     IllDefinedError,
+    adjugate_vectors,
     bounded_moment,
     moment_gf,
     moment_vectors,
     negative_moment,
-    pv_closed_forms,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
     well_defined,
 )
 from .poly import Q_VAR, MultiPoly
-from .ratfunc import (
-    RatFunc,
-    SeriesCoefficientError,
-    cf_eval,
-    reverse_gf,
-    series_expand,
-    series_expand_rat,
-)
+from .ratfunc import RatFunc, cf_eval, over_power, reverse_gf, series_expand
 from .weights import (
     WeightSpec,
+    av_lambda,
     b_special,
     doubled_even,
     doubled_odd,
+    dyck_v,
     one_one,
     spec as make_spec,
     symbolic,
@@ -115,13 +110,8 @@ def _forward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[MultiPoly]:
 
 def _backward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[Value]:
     """[mu_0, mu_{-1}, ..., mu_{-n_max}] via the reversed generating function."""
-    rev = reverse_gf(moment_gf(0, 0, k, spec))
-    try:
-        ser = series_expand(rev, n_max + 1)
-    except SeriesCoefficientError:
-        ser = [c.as_poly_or_self() for c in series_expand_rat(rev, n_max + 1)]
-    out: List[Value] = [MultiPoly.const(1)] + list(ser[1:])
-    return out
+    ser = series_expand(reverse_gf(moment_gf(0, 0, k, spec)), n_max + 1)
+    return [MultiPoly.const(1)] + ser[1:]
 
 
 def det_moment_grid(sign: str, n: int, k: int, m: int, spec: WeightSpec) -> Value:
@@ -151,20 +141,6 @@ def det_moment_grid(sign: str, n: int, k: int, m: int, spec: WeightSpec) -> Valu
     raise ValueError("sign must be 'positive' or 'negative'")
 
 
-def _adjugate_power_traces(K: int, spec: WeightSpec, t_max: int) -> Tuple[List[MultiPoly], MultiPoly]:
-    """((C^t)_{0,0} for t = 0..t_max, det A) for C the adjugate of the
-    transfer matrix at bound K."""
-    A = transfer_matrix(K, spec)
-    d = determinant(A)
-    C = adjugate(A)
-    entries = [MultiPoly.const(1)]
-    P = Matrix.identity(K + 1)
-    for _ in range(t_max):
-        P = P * C
-        entries.append(P[0, 0])
-    return entries, d
-
-
 def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> IdentityCheck:
     """Forward k x k grid determinant against the lam-power and det-power
     weighted, index-reversed backward m x m grid determinant."""
@@ -177,8 +153,8 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     if not ok:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
     lhs = det_moment_grid("positive", n, k, m, spec)
-    pow00, d = _adjugate_power_traces(K, spec, n + 2 * (m - 1))
-    rows = [[pow00[n + i + j] for j in range(m)] for i in range(m)]
+    d, vecs = adjugate_vectors(K, spec, 0, n + 2 * (m - 1))
+    rows = [[vecs[n + i + j][0] for j in range(m)] for i in range(m)]
     det_h = determinant(Matrix(rows))
     denom_power = m * n + m * (m - 1)
     rhs_num = d ** (n + 2 * m - 2) * det_h.reverse_index(K)
@@ -237,13 +213,9 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
         neg_sums: List[Value] = [sums[0]]
         if n + 2 * m - 1 < 0:
             # the (n, m) = (0, 0) corner reaches one step backwards
-            from .moments import inverse_transfer
-            inv = inverse_transfer(bound, spec)
-            u = [RatFunc(1 if i == 0 else 0) for i in range(bound + 1)]
-            for _ in range(-(n + 2 * m - 1)):
-                u = [sum((u[t] * inv[t, j] for t in range(bound + 1)), RatFunc(0))
-                     for j in range(bound + 1)]
-                neg_sums.append(sum(u, RatFunc(0)).as_poly_or_self())
+            det, vecs = adjugate_vectors(bound, spec, 0, -(n + 2 * m - 1))
+            for t, u in enumerate(vecs[1:], 1):
+                neg_sums.append(over_power(sum(u, MultiPoly.zero()), det, t))
         ext = lambda j: sums[j] if j >= 0 else neg_sums[-j]
         rows = [[ext(n + i + j + 2 * m - 1) for j in range(k)] for i in range(k)]
         lhs = determinant(Matrix(rows))
@@ -581,8 +553,8 @@ def check_connection2(n: int, k: int) -> IdentityCheck:
     if n == 0:
         return check_values("connection2", params, MultiPoly.const(1),
                             MultiPoly.const(paths.count_alt(0, k + 1)))
-    pow00, d = _adjugate_power_traces(k, symbolic(), n)
-    num = pow00[n].reverse_index(k)
+    d, vecs = adjugate_vectors(k, symbolic(), 0, n)
+    num = vecs[n][0].reverse_index(k)
     den = d.reverse_index(k) ** n
     bs = b_special(k)
     assign = {("b", i): bs.b(i) for i in range(k + 1)}
@@ -592,6 +564,71 @@ def check_connection2(n: int, k: int) -> IdentityCheck:
     lhs = sign * val.num if val.is_poly() else sign * val
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
     return check_values("connection2", params, lhs, rhs)
+
+
+# -- peak-valley closed forms -------------------------------------------------------
+
+def _v_ratio(r: int, s: int) -> MultiPoly:
+    """(V_0 ... V_s) / (V_0 ... V_{r-1}) as a Laurent monomial."""
+    mono = MultiPoly.const(1)
+    for t in range(0, s + 1):
+        mono = mono * MultiPoly.variable("V", t)
+    for t in range(0, r):
+        mono = mono * MultiPoly.variable("V", t, -1)
+    return mono
+
+
+def pv_closed_forms(which: str, n: int, k: int,
+                    r: int = 0, s: int = 0) -> Tuple[Value, Value]:
+    """Both sides of a peak-valley moment identity; the caller asserts equality.
+
+    The left side is the negative moment computed from the closed-form
+    machinery, the right side a brute-force weighted sequence count.
+    Boundary conventions at n = 1 follow the (r, s)-pinned sets, which is
+    what the inverse-matrix expansion actually produces.
+    """
+    if which == "2PV":
+        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
+        total = MultiPoly.zero()
+        for seq in paths.pv_sequences(2, 2 * n - 1, 2 * k - 1):
+            total = total + paths.wt_seq_v(seq)
+        return lhs, MultiPoly.variable("V", 0) * total
+    if which == "3PV":
+        lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
+        total = MultiPoly.zero()
+        for seq in paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0):
+            total = total + paths.wt_seq_v(seq)
+        return lhs, MultiPoly.variable("V", 0) * total
+    if which == "3PV-modified":
+        lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
+        total = MultiPoly.zero()
+        for seq in paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0):
+            total = total + paths.wt_seq_v(seq)
+        sign = -1 if n % 2 else 1
+        return lhs, sign * MultiPoly.variable("V", 0) * total
+    if which == "3PV-rs":
+        bound = 3 * k - 1
+        lhs = negative_moment(n, r, s, bound, v_inverse())
+        total = MultiPoly.zero()
+        for seq in paths.pv_sequences(3, n - 1, bound, r=r, s=s):
+            total = total + paths.wt_seq_v(seq)
+        sign = -1 if (r // 3 + s // 3) % 2 else 1
+        return lhs, sign * _v_ratio(r, s) * total
+    if which == "3PV-modified-rs":
+        bound = 3 * k
+        lhs = negative_moment(n, r, s, bound, v_inverse())
+        total = MultiPoly.zero()
+        for seq in paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s):
+            total = total + paths.wt_seq_v(seq)
+        sign = -1 if ((r + 1) // 3 + (s + 1) // 3 + n) % 2 else 1
+        return lhs, sign * _v_ratio(r, s) * total
+    if which == "weighted-Alt":
+        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda())
+        total = MultiPoly.zero()
+        for seq in paths.alt_sequences(2 * n - 1, k):
+            total = total + paths.wt_seq_av(seq)
+        return lhs, MultiPoly.variable("V", 1) * total.swap_av(k)
+    raise ValueError(f"unknown identity {which!r}")
 
 
 # -- wrappers over the peak-valley closed forms ------------------------------------------
@@ -646,16 +683,15 @@ def check_pv3_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
 # -- inverse-formula checks ----------------------------------------------------------
 
 def check_usmani(k: int) -> IdentityCheck:
-    """A * A^{-1} = I for the continuant-based inverse, fully symbolic."""
+    """A N = det(A) I for the continuant numerator matrix N, fully symbolic."""
     params = {"k": k}
     spec = symbolic()
     A = transfer_matrix(k, spec)
-    inv = usmani_inverse(k, spec)
-    prod = A * inv
+    N, det = usmani_inverse(k, spec)
+    prod = A * N
     for i in range(k + 1):
         for j in range(k + 1):
-            want = RatFunc(1 if i == j else 0)
-            if prod[i, j] != want:
+            if prod[i, j] != (det if i == j else MultiPoly.zero()):
                 return IdentityCheck("usmani", params, "FAIL",
                                      witness=f"entry ({i},{j}) = {prod[i, j]}")
     return IdentityCheck("usmani", params, "PASS")
@@ -667,20 +703,18 @@ def check_vv_inverse(k: int) -> IdentityCheck:
     if k % 3 == 1:
         return skipped("vv-inv", params, "k = 1 (mod 3): matrix singular")
     closed = v_inverse_closed_form(k)
-    usm = usmani_inverse(k, v_inverse())
+    N, det = usmani_inverse(k, v_inverse())
     for i in range(k + 1):
         for j in range(k + 1):
-            if RatFunc(closed[i, j]) != usm[i, j]:
+            if closed[i, j] * det != N[i, j]:
                 return IdentityCheck("vv-inv", params, "FAIL",
                                      witness=f"entry ({i},{j}) differs")
     A = transfer_matrix(k, v_inverse())
     prod = A * closed
     for i in range(k + 1):
         for j in range(k + 1):
-            want = MultiPoly.const(1 if i == j else 0)
             got = prod[i, j]
-            same = (got == want) if isinstance(got, MultiPoly) else (got == RatFunc(want))
-            if not same:
+            if got != MultiPoly.const(1 if i == j else 0):
                 return IdentityCheck("vv-inv", params, "FAIL",
                                      witness=f"product entry ({i},{j}) = {got}")
     return IdentityCheck("vv-inv", params, "PASS")

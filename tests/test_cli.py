@@ -146,24 +146,42 @@ def test_bad_range_usage_error(capsys):
 
 # -- exact negative moments, per-tuple isolation, exit codes, worker count ------
 
-def test_moment_negative_matches_sympy(capsys):
+def _assert_negative_table_matches_sympy(capsys, k, n_max, b_arg, lam_arg):
     """mu_{-n} = (A^{-n})_{0,0} = (adj(A)^n)_{0,0} / det(A)^n for the
     tridiagonal transfer matrix A."""
     sympy = pytest.importorskip("sympy")
-    k = 3
-    b = sympy.symbols(f"b0:{k + 1}")
-    A = sympy.Matrix(k + 1, k + 1, lambda i, j: b[i] if i == j else 1 if abs(i - j) == 1 else 0)
+    b = list(sympy.symbols(f"b0:{k + 1}"))
+    lam = list(sympy.symbols(f"lam0:{k + 1}"))
+    if b_arg.startswith("custom:"):
+        given = [int(v) for v in b_arg[len("custom:["):-1].split(",")]
+        b[:len(given)] = given
+    if lam_arg == "one":
+        lam = [1] * (k + 1)
+    A = sympy.Matrix(k + 1, k + 1, lambda i, j: b[i] if i == j else 1 if j == i + 1
+                     else lam[i] if j == i - 1 else 0)
     adj, det = A.adjugate(), A.det()
-    code, out, _ = run_cli(["moment", "--n", "1..3", "--k", "3", "--negative",
-                            "--lambda", "one"], capsys)
+    code, out, _ = run_cli(["moment", "--n", f"1..{n_max}", "--k", str(k), "--negative",
+                            "--b", b_arg, "--lambda", lam_arg], capsys)
     assert code == 0
     column = sympy.eye(k + 1)[:, 0]
-    names = {str(s): s for s in b}
-    for n, line in enumerate(data_lines(out), 1):
+    names = {str(v): v for v in b + lam if isinstance(v, sympy.Symbol)}
+    lines = data_lines(out)
+    assert len(lines) == n_max
+    for n, line in enumerate(lines, 1):
         column = (adj * column).applyfunc(sympy.expand)
         num, den = sympy.fraction(sympy.together(
             sympy.parse_expr(line.split(" ", 1)[1].replace("^", "**"), local_dict=names)))
         assert sympy.expand(num * det ** n - column[0] * den) == 0, n
+
+
+def test_moment_negative_matches_sympy(capsys):
+    _assert_negative_table_matches_sympy(capsys, 3, 3, "symbolic", "one")
+
+
+@pytest.mark.parametrize("k, n_max, b_arg", [(2, 6, "custom:[1,2]"), (3, 4, "symbolic")])
+def test_moment_negative_rational_matches_sympy(capsys, k, n_max, b_arg):
+    # P_{k+1}(0) is not a unit here, so the values are rational functions
+    _assert_negative_table_matches_sympy(capsys, k, n_max, b_arg, "symbolic")
 
 
 def test_moment_negative_huge_weight_stays_exact(capsys):
@@ -211,6 +229,23 @@ def test_unexpected_error_outside_verify_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(["moment", "--n", "1", "--k", "1"], capsys)
     assert code == cli.INTERNAL_ERROR
     assert "internal error: KeyError" in err
+
+
+def test_verify_elapsed_covers_the_checks(capsys, monkeypatch):
+    import time
+    from negmom import cli
+
+    def slow(identity, params):
+        time.sleep(0.05)
+        return cli.reciprocity.check_ck(params["n"], params["k"])
+
+    monkeypatch.delenv("NEGMOM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "run_check", slow)
+    code, out, _ = run_cli(["verify", "ck", "--n", "1..2", "--k", "1"], capsys)
+    assert code == 0
+    footer = out.splitlines()[-1]
+    assert footer.startswith("# elapsed ") and footer.endswith("s")
+    assert float(footer[len("# elapsed "):-1]) >= 0.1
 
 
 @pytest.mark.parametrize("text", ["0", "-3", "abc", "", "1.5"])

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.poly import MultiPoly
@@ -15,7 +17,7 @@ from negmom.ratfunc import (
     double_reversal,
     reverse_gf,
     series_expand,
-    series_expand_rat,
+    x_coeffs,
 )
 
 X = P.x()
@@ -70,11 +72,52 @@ def test_series_v_weights():
 
 
 def test_series_rational_coefficients():
-    # 1/(1 - b0 x) expanded over the fraction field still works
-    f = RatFunc(1, P.b(0) - X)
-    s = series_expand_rat(f, 3)
-    assert s[0] == RatFunc(1, P.b(0))
-    assert s[1] == RatFunc(1, P.b(0) ** 2)
+    # 1/(b0 - x) is sum x^n / b0^{n+1}: b0 is a unit, so the coefficients stay
+    # polynomial; 1/(b0 + b1 - x) leaves the ring and comes back reduced
+    s = series_expand(RatFunc(1, P.b(0) - X), 3)
+    assert s[2] == P.b(0) ** -3
+    s = series_expand(RatFunc(1, P.b(0) + P.b(1) - X), 3)
+    assert s[0] == RatFunc(1, P.b(0) + P.b(1))
+    assert s[2] == RatFunc(1, (P.b(0) + P.b(1)) ** 3)
+    assert s[2].den == (P.b(0) + P.b(1)) ** 3
+    # d0^3 / (d0 - b2 x) = d0^2 sum (b2 x / d0)^n: the powers of d0 divide
+    # out exactly for n <= 2, which come back as MultiPoly
+    d0, b2 = P.b(0) + P.b(1), P.b(2)
+    s = series_expand(RatFunc(d0 ** 3, d0 - b2 * X), 5)
+    assert s[:3] == [d0 ** 2, d0 * b2, b2 ** 2]
+    assert all(isinstance(c, MultiPoly) for c in s[:3])
+    assert s[3] == RatFunc(b2 ** 3, d0) and s[4] == RatFunc(b2 ** 4, d0 ** 2)
+
+
+# polynomials in x of degree <= 2 over Z[b0, b1]
+_b_monos = st.tuples(st.integers(0, 2), st.integers(0, 1))
+_b_polys = st.dictionaries(_b_monos, st.integers(-4, 4), max_size=3).map(
+    lambda d: sum((c * P.b(0) ** i * P.b(1) ** j for (i, j), c in d.items()),
+                  MultiPoly.zero()))
+_x_polys = st.lists(_b_polys, min_size=1, max_size=3).map(
+    lambda cs: sum((c * X ** e for e, c in enumerate(cs)), MultiPoly.zero()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_x_polys, _x_polys)
+def test_series_matches_sympy_for_non_unit_d0(num, den):
+    sympy = pytest.importorskip("sympy")
+    assume(0 in x_coeffs(den))   # no pole at x = 0
+    f = RatFunc(num, den)
+    d0 = x_coeffs(f.den).get(0)
+    assume(d0 is not None and not d0.is_term())
+    names = {v: sympy.Symbol(v) for v in ("b0", "b1", "x")}
+
+    def to_sympy(v):
+        return sympy.parse_expr(v.render().replace("^", "**"), local_dict=names)
+
+    order = 4
+    want = sympy.series(to_sympy(f), names["x"], 0, order).removeO()
+    for n, c in enumerate(series_expand(f, order)):
+        ref = sympy.cancel(want.coeff(names["x"], n))
+        assert sympy.cancel(to_sympy(c) - ref) == 0, n
+        # a MultiPoly exactly when the coefficient is a polynomial
+        assert isinstance(c, MultiPoly) == sympy.fraction(ref)[1].is_number, n
 
 
 def test_series_pole_rejected():
