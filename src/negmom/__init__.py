@@ -10,6 +10,7 @@ from .moments import (
     negative_cf,
     negative_moment,
     negative_moment_gf,
+    negative_moments,
     orth_poly,
     transfer_matrix,
     usmani_inverse,
@@ -39,6 +40,7 @@ __all__ = [
     "negative_cf",
     "negative_moment",
     "negative_moment_gf",
+    "negative_moments",
     "orth_poly",
     "poly_div_exact",
     "poly_gcd",

@@ -23,7 +23,7 @@ from . import paths, reciprocity
 from .moments import (
     IllDefinedError,
     moment_vectors,
-    negative_moment,
+    negative_moments,
     well_defined,
 )
 from .poly import MultiPoly
@@ -106,12 +106,12 @@ def cmd_moment(args) -> int:
                 f"error: negative moments undefined: P_{args.k + 1}(0) = "
                 f"{cert.render()}\n")
             return USAGE_ERROR
+        if ns[0] < 1:
+            sys.stderr.write("error: negative moment indices start at 1\n")
+            return USAGE_ERROR
+        vals = negative_moments(ns[-1], args.r, args.s, args.k, spec)
         for n in ns:
-            if n < 1:
-                sys.stderr.write("error: negative moment indices start at 1\n")
-                return USAGE_ERROR
-            val = negative_moment(n, args.r, args.s, args.k, spec)
-            report.add(n, _render_value(val))
+            report.add(n, _render_value(vals[n - 1]))
     else:
         top = max(ns)
         seq = {}

@@ -79,7 +79,9 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("powers need a square matrix")
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative matrix powers are not provided: step "
+                             "with moments.adjugate_vectors and divide by a "
+                             "power of the determinant once")
         result = Matrix.identity(self.rows)
         for _ in range(n):
             result = result * self

@@ -16,17 +16,19 @@ P_{k+1}(0) = +-det A.  Each route keeps its numerators in the polynomial
 ring (the series by ``series_expand``, the matrix route by stepping with
 adj(A), the recurrence by scaling its window) and divides by that power
 once, so a value is a MultiPoly when it is polynomial and a reduced
-RatFunc otherwise.
+RatFunc otherwise.  The generating-function route is one gcd-free series
+expansion per (r, s, k, spec): ``negative_moments`` expands the
+unreduced reversed gf -x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a
+whole table from it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple, Union
 
 from .matrix import Matrix, SingularMatrixError, adjugate, determinant
-from .poly import MultiPoly, X_VAR
-from .ratfunc import RatFunc, cf_eval, over_power, reverse_gf, series_expand, x_coeffs
+from .poly import MultiPoly
+from .ratfunc import RatFunc, cf_eval, over_power, series_expand, x_coeffs
 from .weights import WeightSpec
 
 Value = Union[MultiPoly, RatFunc]
@@ -167,12 +169,14 @@ def moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
     return RatFunc(num, den)
 
 
-def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x."""
-    ok, cert = well_defined(k, spec)
-    if not ok:
-        raise IllDefinedError(
-            f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
+def _negative_gf_pair(r: int, s: int, k: int, spec: WeightSpec) -> Tuple[MultiPoly, MultiPoly]:
+    """The unreduced (numerator, denominator) of ``negative_moment_gf``:
+    the forward gf reversed, f(x) -> -f(1/x), is
+    -x P_r P^{(s+1)}_{k-s} / P_{k+1} (for r > s: -x P_s P^{(r+1)}_{k-r}
+    lam_{s+1}..lam_r / P_{k+1}).  Checks the domain, then the heights."""
+    _require_backward(k, spec)
+    if not (0 <= r <= k and 0 <= s <= k):
+        raise IndexError("heights must lie in [0, k]")
     den = orth_poly(k + 1, spec)
     if r <= s:
         num = -_X * orth_poly(r, spec) * orth_poly(k - s, spec.shift(s + 1))
@@ -181,7 +185,12 @@ def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
         for i in range(s + 1, r + 1):
             prod = prod * spec.lam(i)
         num = -_X * orth_poly(s, spec) * orth_poly(k - r, spec.shift(r + 1)) * prod
-    return RatFunc(num, den)
+    return num, den
+
+
+def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
+    """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x."""
+    return RatFunc(*_negative_gf_pair(r, s, k, spec))
 
 
 def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
@@ -194,45 +203,59 @@ def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
 
 def negative_cf(k: int, spec: WeightSpec) -> RatFunc:
     """Continued fraction -x/(x - b0 - lam1/(x - b1 - ...)) for the backward series."""
-    ok, cert = well_defined(k, spec)
-    if not ok:
-        raise IllDefinedError(
-            f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
+    _require_backward(k, spec)
     nums = [-_X] + [spec.lam(i) for i in range(1, k + 1)]
     dens = [_X - spec.b(i) for i in range(k + 1)]
     return cf_eval(nums, dens)
 
 
 def well_defined(k: int, spec: WeightSpec) -> Tuple[bool, MultiPoly]:
-    """Whether the backward extension exists; certificate is P_{k+1}(0)."""
-    cert = orth_poly(k + 1, spec).subs({X_VAR: 0})
+    """Whether the backward extension exists; certificate is P_{k+1}(0),
+    run through the three-term recurrence at x = 0:
+    p_{i+1} = -b_i p_i - lam_i p_{i-1}."""
+    prev, cert = MultiPoly.zero(), MultiPoly.const(1)
+    for i in range(k + 1):
+        nxt = -spec.b(i) * cert
+        if i >= 1:
+            nxt = nxt - spec.lam(i) * prev
+        prev, cert = cert, nxt
     return (not cert.is_zero(), cert)
 
 
-# -- negative moments: three routes ---------------------------------------------
-
-def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec,
-                    method: str = "gf-reverse") -> Value:
-    """mu_{-n,r,s}^{<=k}; methods: gf-reverse, matrix-inverse, recurrence."""
-    if n < 1:
-        raise ValueError("negative index n must be >= 1")
+def _require_backward(k: int, spec: WeightSpec) -> None:
     ok, cert = well_defined(k, spec)
     if not ok:
         raise IllDefinedError(
             f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
+
+
+# -- negative moments: three routes ---------------------------------------------
+
+def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
+    """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k) from one series
+    expansion of the unreduced ``_negative_gf_pair``: no gcd runs, and
+    ``series_expand`` divides each coefficient by its power of P_{k+1}(0)
+    once."""
+    num, den = _negative_gf_pair(r, s, k, spec)
+    return series_expand(RatFunc(num, den, reduce=False), n_max + 1)[1:]
+
+
+def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec,
+                    method: str = "gf-reverse") -> Value:
+    """mu_{-n,r,s}^{<=k}; methods: gf-reverse (one gcd-free expansion of
+    the reversed generating function, see ``negative_moments``; prefer that
+    for a whole table), matrix-inverse, recurrence."""
+    if n < 1:
+        raise ValueError("negative index n must be >= 1")
     if method == "gf-reverse":
-        return series_expand(_reversed_moment_gf(r, s, k, spec), n + 1)[n]
+        return negative_moments(n, r, s, k, spec)[n - 1]   # checks the domain first
+    _require_backward(k, spec)
     if method == "matrix-inverse":
         det, vecs = adjugate_vectors(k, spec, r, n)
         return over_power(vecs[n][s], det, n)
     if method == "recurrence":
         return _recurrence_extension(n, r, s, k, spec)
     raise ValueError(f"unknown method {method!r}")
-
-
-@lru_cache(maxsize=4096)
-def _reversed_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    return reverse_gf(moment_gf(r, s, k, spec))
 
 
 def _recurrence_extension(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:

@@ -444,18 +444,26 @@ class MultiPoly:
         """
         vals = {_slot(v): (x if isinstance(x, MultiPoly) else MultiPoly.const(x))
                 for v, x in assignment.items()}
-        total = MultiPoly()
+        out: Dict[int, Scalar] = {}
+        bound = 0
         for k, c in self._terms.items():
-            term = MultiPoly.const(c)
+            factor = MultiPoly.const(c)
             rest = k
             for s, e in _fields(k):
                 val = vals.get(s)
                 if val is None:
                     continue
                 rest -= e << (_W * s)
-                term = term * val ** e   # e < 0 inverts a unit or raises
-            total = total + term._shifted(rest, self._bound)
-        return total
+                factor = factor * val ** e   # e < 0 inverts a unit or raises
+            term = factor._shifted(rest, self._bound)
+            for tk, tc in term._terms.items():   # one running dict: linear
+                nc = out.get(tk, 0) + tc
+                if nc:
+                    out[tk] = nc
+                else:
+                    del out[tk]
+            bound = max(bound, term._bound)
+        return _wrap(out, bound)
 
     def map_vars(self, fn) -> "MultiPoly":
         """Rewrite every variable through ``fn: Var -> Var`` (a relabeling)."""

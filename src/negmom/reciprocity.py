@@ -21,16 +21,16 @@ from .moments import (
     IllDefinedError,
     adjugate_vectors,
     bounded_moment,
-    moment_gf,
     moment_vectors,
     negative_moment,
+    negative_moments,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
     well_defined,
 )
 from .poly import Q_VAR, MultiPoly
-from .ratfunc import RatFunc, cf_eval, over_power, reverse_gf, series_expand
+from .ratfunc import RatFunc, cf_eval, over_power, series_expand
 from .weights import (
     WeightSpec,
     av_lambda,
@@ -110,8 +110,7 @@ def _forward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[MultiPoly]:
 
 def _backward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[Value]:
     """[mu_0, mu_{-1}, ..., mu_{-n_max}] via the reversed generating function."""
-    ser = series_expand(reverse_gf(moment_gf(0, 0, k, spec)), n_max + 1)
-    return [MultiPoly.const(1)] + ser[1:]
+    return [MultiPoly.const(1)] + negative_moments(n_max, 0, 0, k, spec)
 
 
 def det_moment_grid(sign: str, n: int, k: int, m: int, spec: WeightSpec) -> Value:

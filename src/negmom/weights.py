@@ -3,8 +3,10 @@
 A ``WeightSpec`` is a pair of generators i -> MultiPoly: the diagonal
 sequence b (indexed from 0) and the subdiagonal sequence lam (indexed
 from 1).  For the Schroeder/Laurent side the second generator plays the
-role of the a-sequence.  Specs compare and hash by name so they can key
-caches; every factory gives a distinct canonical name.
+role of the a-sequence.  Specs compare and hash by name, and every
+factory gives a distinct canonical name; two specs built by hand with one
+name are equal but may hold different weights, so nothing caches on a
+spec.
 """
 
 from __future__ import annotations

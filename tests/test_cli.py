@@ -184,6 +184,32 @@ def test_moment_negative_rational_matches_sympy(capsys, k, n_max, b_arg):
     _assert_negative_table_matches_sympy(capsys, k, n_max, b_arg, "symbolic")
 
 
+@pytest.mark.parametrize("n_max, argv", [
+    (30, ["--k", "10", "--b", "custom:[9/4,1,8/9,7,2,1,1/2,3/2,1/4,9/2,1/3]",
+          "--lambda", "custom:[7/6,8,8,5/7,1,9/4,1/4,1,4/7,3/2]"]),
+    (6, ["--k", "2", "--b", "custom:[1,2]", "--r", "2", "--s", "0"]),
+])
+def test_moment_negative_table_is_one_expansion(capsys, monkeypatch, n_max, argv):
+    from negmom import moments, ratfunc
+    calls = []
+
+    def counted(f, n_terms):
+        calls.append(n_terms)
+        return ratfunc.series_expand(f, n_terms)
+
+    monkeypatch.setattr(moments, "series_expand", counted)
+    code, out, _ = run_cli(["moment", "--n", f"1..{n_max}", "--negative"] + argv, capsys)
+    assert code == 0 and len(data_lines(out)) == n_max
+    assert calls == [n_max + 1]
+
+
+def test_moment_negative_index_below_one_prints_no_table(capsys):
+    code, out, err = run_cli(["moment", "--n", "0..3", "--k", "3", "--negative",
+                              "--b", "zero", "--lambda", "one"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: negative moment indices start at 1\n"
+
+
 def test_moment_negative_huge_weight_stays_exact(capsys):
     code, out, _ = run_cli(["moment", "--n", "3", "--k", "1", "--b", "custom:[1e400]",
                             "--negative"], capsys)

@@ -124,3 +124,9 @@ def test_adjugate_relation():
     for i in range(3):
         for j in range(3):
             assert prod[i, j] == (det if i == j else MultiPoly.zero())
+
+
+def test_negative_power_points_to_adjugate_stepping():
+    with pytest.raises(ValueError, match="adjugate_vectors"):
+        Matrix([[2]]) ** -1
+    assert Matrix([[2]]) ** 0 == Matrix.identity(1)

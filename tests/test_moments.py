@@ -17,6 +17,7 @@ from negmom.moments import (
     negative_cf,
     negative_moment,
     negative_moment_gf,
+    negative_moments,
     orth_poly,
     inverted_poly,
     transfer_matrix,
@@ -128,19 +129,55 @@ def test_negative_moment_is_alt_count():
     assert negative_moment(2, 0, 0, 1, Z1).as_fraction() == 1
 
 
+def _as_rat(v):
+    return RatFunc(v) if isinstance(v, MultiPoly) else v
+
+
 def test_negative_routes_agree():
+    # the gf-reverse table (one expansion) entry by entry against the
+    # matrix-inverse and recurrence routes, r > s (a lam product) included;
     # under custom:[1,2], P_3(0) is a non-unit polynomial in b2 and lam, so
     # its backward values are rational and take the fraction-free division
-    for spec, kk in ((Z1, 3), (ONES, 2), (W.v_inverse(), 2),
+    n_max = 5
+    for spec, kk in ((Z1, 3), (ONES, 2), (W.v_inverse(), 2), (W.v_inverse(), 3),
                      (W.spec("custom:[1,2]", "symbolic"), 2)):
-        for n in range(1, 4):
-            for r in range(kk + 1):
-                for s in range(kk + 1):
-                    vals = []
-                    for method in ("gf-reverse", "matrix-inverse", "recurrence"):
-                        v = negative_moment(n, r, s, kk, spec, method=method)
-                        vals.append(RatFunc(v) if isinstance(v, MultiPoly) else v)
-                    assert vals[0] == vals[1] == vals[2], (spec.name, n, r, s)
+        for r in range(kk + 1):
+            for s in range(kk + 1):
+                table = negative_moments(n_max, r, s, kk, spec)
+                assert len(table) == n_max
+                for n in range(1, n_max + 1):
+                    assert negative_moment(n, r, s, kk, spec) == table[n - 1]
+                    for method in ("matrix-inverse", "recurrence"):
+                        want = negative_moment(n, r, s, kk, spec, method=method)
+                        assert _as_rat(table[n - 1]) == _as_rat(want), \
+                            (spec.name, kk, n, r, s, method)
+
+
+def test_negative_moments_checks_the_domain():
+    assert negative_moments(0, 0, 0, 1, Z1) == []
+    with pytest.raises(IllDefinedError):
+        negative_moments(3, 0, 0, 2, Z1)
+
+
+def test_same_spec_name_different_weights_get_their_own_values():
+    # WeightSpec compares by name; no cache may confuse two specs that share one
+    ones = W.WeightSpec("same", lambda i: MultiPoly.const(1), lambda i: MultiPoly.const(1))
+    twos = W.WeightSpec("same", lambda i: MultiPoly.const(2), lambda i: MultiPoly.const(1))
+    assert ones == twos
+    for spec in (ones, twos, ones):
+        for n in (1, 2, 3):
+            assert negative_moment(n, 0, 0, 2, spec) == \
+                negative_moment(n, 0, 0, 2, spec, method="matrix-inverse")
+    assert negative_moment(2, 0, 0, 2, ones) != negative_moment(2, 0, 0, 2, twos)
+
+
+def test_well_defined_certificate_is_p_k_plus_1_at_zero():
+    for spec in (SYM, Z1, ONES, W.v_inverse(), W.b_squared(),
+                 W.spec("custom:[1,2]", "symbolic")):
+        for k in range(6):
+            ok, cert = well_defined(k, spec)
+            assert cert == orth_poly(k + 1, spec).subs({P.X_VAR: 0}), (spec.name, k)
+            assert ok == (not cert.is_zero())
 
 
 def test_negative_moment_ill_defined():

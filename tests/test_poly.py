@@ -84,6 +84,11 @@ def test_substitute_examples():
         MultiPoly.variable("b", 0, -1).subs({("b", 0): 0})
 
 
+def test_substitute_cancels_to_zero():
+    assert (P.b(0) - P.b(1)).subs({("b", 0): P.b(1)}).is_zero()
+    assert (P.b(0) * P.lam(1) - P.lam(1)).subs({("b", 0): 1}).is_zero()
+
+
 def test_substitute_partial():
     expr = P.b(0) + P.lam(2)
     out = expr.subs({("b", 0): 7})
@@ -252,6 +257,40 @@ def test_gcd_agrees_with_sympy(f, g, h):
 
 
 LIMIT = P.EXPONENT_LIMIT
+
+
+def _subs_reference(p, assignment):
+    """Term-by-term substitution through the public ring operations."""
+    total = MultiPoly.zero()
+    for mono, c in p.terms():
+        term = MultiPoly.const(c)
+        for v, e in mono:
+            val = assignment.get(v)
+            term = term * (MultiPoly.variable(v[0], None if v[1] < 0 else v[1], exp=e)
+                           if val is None else val ** e)
+        total = total + term
+    return total
+
+
+# substituted values: Laurent units (so negative exponents invert) or any polynomial
+units = st.builds(lambda c, m: MultiPoly({tuple(m): c}),
+                  coeffs.filter(bool), st.lists(st.tuples(st.sampled_from(VARS), st.integers(-2, 2)),
+                                                max_size=2))
+subs_values = st.one_of(units, laurent.filter(lambda p: len(p) > 1), st.integers(-3, 3))
+
+
+@settings_
+@given(laurent, st.dictionaries(st.sampled_from(VARS), subs_values, max_size=4))
+def test_subs_matches_term_by_term_reference(p, assignment):
+    vals = {v: x if isinstance(x, MultiPoly) else MultiPoly.const(x)
+            for v, x in assignment.items()}
+    try:
+        want = _subs_reference(p, vals)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.subs(assignment)
+        return
+    assert p.subs(assignment) == want
 
 
 @settings_
