@@ -94,6 +94,10 @@ def _build_spec(args) -> WeightSpec:
 def cmd_moment(args) -> int:
     spec = _build_spec(args)
     ns = _parse_range(args.n)
+    if not (0 <= args.r <= args.k and 0 <= args.s <= args.k):
+        sys.stderr.write(f"error: heights r = {args.r}, s = {args.s} "
+                         f"must lie in [0, k = {args.k}]\n")
+        return USAGE_ERROR
     report = Report("moment",
                     {"n": args.n, "r": args.r, "s": args.s, "k": args.k,
                      "b": args.b, "lambda": args.lam,
@@ -170,7 +174,7 @@ def cmd_sequence(args) -> int:
         sys.stderr.write(f"error: unknown family {fam!r}\n")
         return USAGE_ERROR
     if args.emit == "count":
-        report.add(len(objs))
+        report.add(paths.count(objs))
     elif args.emit == "list":
         for o in objs:
             report.add(enc(o))

@@ -169,11 +169,14 @@ def moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
     return RatFunc(num, den)
 
 
-def _negative_gf_pair(r: int, s: int, k: int, spec: WeightSpec) -> Tuple[MultiPoly, MultiPoly]:
-    """The unreduced (numerator, denominator) of ``negative_moment_gf``:
+def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec,
+                       reduce: bool = True) -> RatFunc:
+    """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x:
     the forward gf reversed, f(x) -> -f(1/x), is
     -x P_r P^{(s+1)}_{k-s} / P_{k+1} (for r > s: -x P_s P^{(r+1)}_{k-r}
-    lam_{s+1}..lam_r / P_{k+1}).  Checks the domain, then the heights."""
+    lam_{s+1}..lam_r / P_{k+1}).  Checks the domain, then the heights.
+    ``reduce=False`` keeps that fraction as built, with no gcd; its series
+    is the same."""
     _require_backward(k, spec)
     if not (0 <= r <= k and 0 <= s <= k):
         raise IndexError("heights must lie in [0, k]")
@@ -185,12 +188,7 @@ def _negative_gf_pair(r: int, s: int, k: int, spec: WeightSpec) -> Tuple[MultiPo
         for i in range(s + 1, r + 1):
             prod = prod * spec.lam(i)
         num = -_X * orth_poly(s, spec) * orth_poly(k - r, spec.shift(r + 1)) * prod
-    return num, den
-
-
-def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x."""
-    return RatFunc(*_negative_gf_pair(r, s, k, spec))
+    return RatFunc(num, den, reduce=reduce)
 
 
 def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
@@ -233,11 +231,10 @@ def _require_backward(k: int, spec: WeightSpec) -> None:
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
     """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k) from one series
-    expansion of the unreduced ``_negative_gf_pair``: no gcd runs, and
+    expansion of the unreduced ``negative_moment_gf``: no gcd runs, and
     ``series_expand`` divides each coefficient by its power of P_{k+1}(0)
     once."""
-    num, den = _negative_gf_pair(r, s, k, spec)
-    return series_expand(RatFunc(num, den, reduce=False), n_max + 1)[1:]
+    return series_expand(negative_moment_gf(r, s, k, spec, reduce=False), n_max + 1)[1:]
 
 
 def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec,

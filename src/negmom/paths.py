@@ -1,9 +1,15 @@
 """Brute-force enumerators for the combinatorial families and their weights.
 
-Everything here is deliberately naive: exhaustive recursion with just
-enough pruning to finish. These enumerators are the ground truth that the
-closed-form machinery is tested against, so they must stay independent of
-it (no transfer matrices, no generating functions).
+Everything here is deliberately naive: an exhaustive depth-first search
+with just enough pruning to finish. These enumerators are the ground truth
+that the closed-form machinery is tested against, so they must stay
+independent of it (no transfer matrices, no generating functions, no
+counting recurrences): every object is visited.
+
+The enumerators are lazy: each is a generator that yields its objects one
+at a time, in a fixed order, building each object once, at its leaf of the
+search.  Counting or summing over a family therefore holds one object at a
+time; a caller that needs the objects twice wraps the result in ``list()``.
 
 Canonical encodings: Motzkin paths as "UHD..." strings, Schroeder paths
 as "U,H2,D" strings, integer sequences as "(a1,...,an)", reverse plane
@@ -13,46 +19,85 @@ partitions as row-major grids with a shape header.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .poly import MultiPoly
 
 Steps = Tuple[str, ...]
 Seq = Tuple[int, ...]
 
+_END = object()                         # end-of-iterator sentinel for next()
+
+
+def _words(n: int, options: Callable[[int, List], Iterable], leaf=tuple) -> Iterator:
+    """Depth first, in order: ``leaf(w)`` for every word w of length n with
+    w[i] in ``options(i, w)``, which sees w[:i] filled in.  ``options`` is
+    called once per prefix, in depth-first order, so it may keep per-depth
+    state.  One explicit stack of iterators stands in for a recursion (or a
+    chain of generators) per position, and the last position, where most
+    words end, runs as a flat loop."""
+    word: List = [None] * n
+    if n == 0:
+        yield leaf(word)
+        return
+    last = n - 1
+    stack: List[Iterator] = []          # stack[i] iterates the letters of position i
+    while True:
+        if len(stack) == last:
+            for v in options(last, word):
+                word[last] = v
+                yield leaf(word)
+        else:
+            stack.append(iter(options(len(stack), word)))
+        while stack:                    # next letter at the deepest open position
+            v = next(stack[-1], _END)
+            if v is not _END:
+                word[len(stack) - 1] = v
+                break
+            stack.pop()
+        else:
+            return
+
+
+def count(objects: Iterable) -> int:
+    """The number of objects an enumerator yields, holding one at a time."""
+    return sum(1 for _ in objects)
+
 
 # -- Motzkin paths ------------------------------------------------------------
 
-def motzkin_paths(n: int, r: int = 0, s: int = 0, k: Optional[int] = None) -> List[Steps]:
+_MOVES = (("U", 1), ("H", 0), ("D", -1))
+_DH = dict(_MOVES)
+
+
+def motzkin_paths(n: int, r: int = 0, s: int = 0,
+                  k: Optional[int] = None) -> Iterator[Steps]:
     """All Motzkin paths of length n from height r to height s, height <= k."""
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be nonnegative")
     if k is not None and (r > k or s > k):
-        return []
-    out: List[Steps] = []
+        return
+    heights = [r] * n                   # heights[i]: the height before step i
 
-    def rec(h: int, left: int, acc: List[str]):
-        if abs(h - s) > left:
-            return
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        for step, dh in (("U", 1), ("H", 0), ("D", -1)):
-            nh = h + dh
-            if nh < 0 or (k is not None and nh > k):
-                continue
-            acc.append(step)
-            rec(nh, left - 1, acc)
-            acc.pop()
+    @lru_cache(maxsize=None)
+    def steps_from(i: int, h: int) -> List[str]:
+        left = n - i - 1                # steps after this one
+        return [step for step, dh in _MOVES
+                if 0 <= h + dh and (k is None or h + dh <= k) and abs(h + dh - s) <= left]
 
-    rec(r, n, [])
-    return out
+    def options(i: int, word: List[str]) -> List[str]:
+        if i:
+            heights[i] = heights[i - 1] + _DH[word[i - 1]]
+        return steps_from(i, heights[i])
+
+    if n or r == s:
+        yield from _words(n, options)
 
 
 def motzkin_heights(steps: Steps, r: int = 0) -> List[int]:
     hs = [r]
     for st in steps:
-        hs.append(hs[-1] + {"U": 1, "H": 0, "D": -1}[st])
+        hs.append(hs[-1] + _DH[st])
     return hs
 
 def wt_motzkin(steps: Steps, spec, r: int = 0) -> MultiPoly:
@@ -87,34 +132,44 @@ def encode_motzkin(steps: Steps) -> str:
 
 # -- Schroeder paths ----------------------------------------------------------
 
-def schroeder_paths(n: int, k: Optional[int] = None) -> List[Steps]:
+def schroeder_paths(n: int, k: Optional[int] = None) -> Iterator[Steps]:
     """Schroeder paths (steps U, H2, D; H2 spans 2 in x) from (0,0) to (n,0)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: List[Steps] = []
 
-    def rec(h: int, left: int, acc: List[str]):
-        if h > left:
-            return
-        if left == 0:
-            if h == 0:
-                out.append(tuple(acc))
-            return
-        if k is None or h + 1 <= k:
-            acc.append("U")
-            rec(h + 1, left - 1, acc)
-            acc.pop()
-        if left >= 2:
-            acc.append("H2")
-            rec(h, left - 2, acc)
-            acc.pop()
+    if n == 0:
+        yield ()
+        return
+    top = n // 2 if k is None else min(k, n // 2)
+
+    def moves_from(h: int, left: int) -> List[Tuple[str, int, int]]:
+        # (step, height, x left) after each step that can still return to 0
+        out = []
+        if h < top and h < left - 1:
+            out.append(("U", h + 1, left - 1))
+        if h <= left - 2:
+            out.append(("H2", h, left - 2))
         if h > 0:
-            acc.append("D")
-            rec(h - 1, left - 1, acc)
-            acc.pop()
+            out.append(("D", h - 1, left - 1))
+        return out
 
-    rec(0, n, [])
-    return out
+    moves = [[moves_from(h, left) for left in range(n + 1)] for h in range(top + 1)]
+    steps: List[str] = []
+    stack = [iter(moves[0][n])]         # stack[i] iterates the moves of step i
+    while stack:
+        move = next(stack[-1], _END)
+        if move is _END:
+            stack.pop()
+            if steps:
+                steps.pop()
+            continue
+        step, h, left = move
+        steps.append(step)
+        if left == 0:
+            yield tuple(steps)
+            steps.pop()
+        else:
+            stack.append(iter(moves[h][left]))
 
 
 def wt_schroeder(steps: Steps, b_fn, a_fn) -> MultiPoly:
@@ -166,7 +221,7 @@ def _pv_ok(ell: int, modified: bool, prev: Optional[int], cur: int,
 
 
 def pv_sequences(ell: int, n: int, k: int, modified: bool = False,
-                 r: Optional[int] = None, s: Optional[int] = None) -> List[Seq]:
+                 r: Optional[int] = None, s: Optional[int] = None) -> Iterator[Seq]:
     """Peak-valley sequences of length n with entries in [0, k].
 
     With r and s omitted this is the plain family: the rule is imposed at
@@ -175,6 +230,8 @@ def pv_sequences(ell: int, n: int, k: int, modified: bool = False,
     values as well (through the neighbors that exist), which makes the
     length-0 set depend on (r, s).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if ell not in (2, 3):
         raise ValueError("ell must be 2 or 3")
     if modified and ell != 3:
@@ -184,36 +241,50 @@ def pv_sequences(ell: int, n: int, k: int, modified: bool = False,
     s0 = 0 if s is None else s
 
     if n == 0:
-        if not boundary:
-            return [()]
-        return [()] if _pv_ok(ell, modified, None, r0, s0) and \
-                       _pv_ok(ell, modified, r0, s0, None) else []
+        if not boundary or (_pv_ok(ell, modified, None, r0, s0)
+                            and _pv_ok(ell, modified, r0, s0, None)):
+            yield ()
+        return
 
-    out: List[Seq] = []
+    valley, peak = _pv_rules(ell, modified)
+    entries = range(0, k + 1)
 
-    def rec(i: int, acc: List[int]):
-        # rule at position i-1 becomes checkable once a_i is placed
-        if i == n:
-            prev2 = acc[-2] if n >= 2 else r0
-            if not _pv_ok(ell, modified, prev2, acc[-1], s0):
-                return
-            if boundary and not _pv_ok(ell, modified, acc[-1], s0, None):
-                return
-            out.append(tuple(acc))
-            return
-        for v in range(0, k + 1):
-            if acc:
-                prev2 = acc[-2] if len(acc) >= 2 else r0
-                if not _pv_ok(ell, modified, prev2, acc[-1], v):
-                    continue
-            elif boundary and not _pv_ok(ell, modified, None, r0, v):
-                continue
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
+    def after(left: Optional[int], cur: int):
+        """The entries v for which the rule at cur holds between left and v."""
+        res = cur % ell
+        if res == valley:
+            return range(max(cur + 1, 0), k + 1) if left is None or left > cur else ()
+        if res == peak:
+            return range(0, min(cur, k + 1)) if left is None or left < cur else ()
+        return entries
 
-    rec(0, [])
-    return out
+    def closes(left: int, v: int) -> bool:
+        """The rule at a last entry v between left and s0, and (with r, s
+        given) the rule at s0 after v."""
+        res = v % ell
+        if res == valley and not (left > v < s0):
+            return False
+        if res == peak and not (left < v > s0):
+            return False
+        if boundary:
+            res = s0 % ell
+            return not ((res == valley and v <= s0) or (res == peak and v >= s0))
+        return True
+
+    @lru_cache(maxsize=None)
+    def last_entries(left: int) -> List[int]:
+        return [v for v in entries if closes(left, v)]
+
+    def options(i: int, word: List[int]):
+        if i == 0:
+            cands = after(None, r0) if boundary else entries
+        else:
+            cands = after(word[i - 2] if i >= 2 else r0, word[i - 1])
+        if i < n - 1:
+            return cands
+        return [v for v in last_entries(word[i - 1] if i else r0) if v in cands]
+
+    yield from _words(n, options)
 
 
 def is_pv_sequence(seq: Seq, ell: int, k: int, modified: bool = False) -> bool:
@@ -227,12 +298,12 @@ def is_pv_sequence(seq: Seq, ell: int, k: int, modified: bool = False) -> bool:
 # -- alternating sequences --------------------------------------------------------
 
 def alt_sequences(n: int, k: int, down_first: bool = False,
-                  endpoints: Optional[Tuple[int, int]] = None) -> List[Seq]:
+                  endpoints: Optional[Tuple[int, int]] = None) -> Iterator[Seq]:
     """Alternating sequences of length n over {1..k}.
 
     Up-first is a1 <= a2 >= a3 <= ...; down-first reverses the pattern.
     With endpoints (r, s) the first and last entries are pinned (length 1
-    needs r == s, otherwise the list is empty).
+    needs r == s, otherwise the family is empty).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -241,34 +312,28 @@ def alt_sequences(n: int, k: int, down_first: bool = False,
         if not (1 <= r <= k and 1 <= s <= k):
             raise ValueError("endpoints must lie in [1, k]")
     if n == 0:
-        return [] if endpoints is not None else [()]
-    out: List[Seq] = []
-    first = [endpoints[0]] if endpoints else range(1, k + 1)
+        if endpoints is None:
+            yield ()
+        return
+    first = range(1, k + 1) if endpoints is None else (r,)
 
-    def ok(i: int, prev: int, cur: int) -> bool:
-        rising = (i % 2 == 1) != down_first  # position i follows <= when rising
-        return prev <= cur if rising else prev >= cur
+    def options(i: int, word: List[int]):
+        if i == 0:
+            cands = first
+        elif (i % 2 == 1) != down_first:     # a_i >= a_{i-1}
+            cands = range(word[i - 1], k + 1)
+        else:                               # a_i <= a_{i-1}
+            cands = range(1, word[i - 1] + 1)
+        if endpoints is not None and i == n - 1:
+            return (s,) if s in cands else ()
+        return cands
 
-    def rec(i: int, acc: List[int]):
-        if i == n:
-            if endpoints is None or acc[-1] == endpoints[1]:
-                out.append(tuple(acc))
-            return
-        for v in range(1, k + 1):
-            if acc and not ok(i, acc[-1], v):
-                continue
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    for f in first:
-        rec(1, [f])
-    return out
+    yield from _words(n, options)
 
 
 @lru_cache(maxsize=None)
 def count_alt(n: int, k: int, down_first: bool = False) -> int:
-    return len(alt_sequences(n, k, down_first))
+    return count(alt_sequences(n, k, down_first))
 
 
 # -- bijection between 2-PV and alternating sequences -----------------------------
@@ -334,37 +399,31 @@ def staircase_skew_cells(n: int, m: int) -> List[Tuple[int, int]]:
 
 
 def rpp_fillings(n: int, m: int, k: int,
-                 max_total: Optional[int] = None) -> List[Dict[Tuple[int, int], int]]:
+                 max_total: Optional[int] = None) -> Iterator[Dict[Tuple[int, int], int]]:
     """Reverse plane partitions on the skew staircase, entries in [0, k].
 
     ``max_total`` keeps only fillings with entry sum <= max_total (and
     prunes the search accordingly).
     """
+    if max_total is not None and max_total < 0:
+        return                          # not even the empty shape's filling
     cells = staircase_skew_cells(n, m)
-    out: List[Dict[Tuple[int, int], int]] = []
-    filling: Dict[Tuple[int, int], int] = {}
+    index = {cell: t for t, cell in enumerate(cells)}
+    # the filled neighbours (left, above) whose entries bound each cell from below
+    below = [[index[c] for c in ((i, j - 1), (i - 1, j)) if c in index] for i, j in cells]
+    totals = [0] * len(cells)           # totals[t]: the entry sum of cells before t
 
-    def rec(idx: int, total: int):
-        if idx == len(cells):
-            out.append(dict(filling))
-            return
-        i, j = cells[idx]
+    def options(t: int, word: List[int]) -> range:
         lo = 0
-        left = filling.get((i, j - 1))
-        if left is not None:
-            lo = max(lo, left)
-        up = filling.get((i - 1, j))
-        if up is not None:
-            lo = max(lo, up)
-        for v in range(lo, k + 1):
-            if max_total is not None and total + v > max_total:
-                break
-            filling[(i, j)] = v
-            rec(idx + 1, total + v)
-            del filling[(i, j)]
+        for u in below[t]:
+            lo = max(lo, word[u])
+        if max_total is None:
+            return range(lo, k + 1)
+        if t:
+            totals[t] = totals[t - 1] + word[t - 1]
+        return range(lo, min(k, max_total - totals[t]) + 1)
 
-    rec(0, 0)
-    return out
+    yield from _words(len(cells), options, lambda word: dict(zip(cells, word)))
 
 
 def rpp_total(filling: Dict[Tuple[int, int], int]) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -23,6 +24,7 @@ from .moments import (
     bounded_moment,
     moment_vectors,
     negative_moment,
+    negative_moment_gf,
     negative_moments,
     transfer_matrix,
     usmani_inverse,
@@ -528,10 +530,10 @@ def check_ck_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
     sign = (-1) ** (r + s)
     sub = []
     lhs1 = sign * negative_moment(2 * n, 2 * r - 2, 2 * s - 2, 2 * k - 1, spec)
-    rhs1 = MultiPoly.const(len(paths.alt_sequences(2 * n + 1, k, endpoints=(r, s))))
+    rhs1 = MultiPoly.const(paths.count(paths.alt_sequences(2 * n + 1, k, endpoints=(r, s))))
     sub.append(check_values("ck-rs", params, lhs1, rhs1))
     lhs2 = sign * negative_moment(2 * n - 1, 2 * r - 2, 2 * s - 1, 2 * k - 1, spec)
-    rhs2 = MultiPoly.const(len(paths.alt_sequences(2 * n, k, endpoints=(r, s))))
+    rhs2 = MultiPoly.const(paths.count(paths.alt_sequences(2 * n, k, endpoints=(r, s))))
     sub.append(check_values("ck-rs", params, lhs2, rhs2))
     return _combine("ck-rs", params, sub)
 
@@ -577,6 +579,23 @@ def _v_ratio(r: int, s: int) -> MultiPoly:
     return mono
 
 
+@lru_cache(maxsize=None)
+def _pinned_pv3_gf(r: int, s: int, bound: int, unit_weights: bool) -> RatFunc:
+    """The unreduced ``negative_moment_gf`` of the pinned 3-PV moments,
+    under ``one_one()`` or ``v_inverse()``.  A ``pv3-rs`` grid's tuples that
+    differ only in n share it.  The key holds integers and a flag set in
+    this module, never a caller's ``WeightSpec``: specs compare by name."""
+    spec = one_one() if unit_weights else v_inverse()
+    return negative_moment_gf(r, s, bound, spec, reduce=False)
+
+
+def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -> Value:
+    """``negative_moment(n, r, s, bound, spec)`` for the spec named by the flag."""
+    if n < 1:
+        raise ValueError("negative index n must be >= 1")
+    return series_expand(_pinned_pv3_gf(r, s, bound, unit_weights), n + 1)[n]
+
+
 def pv_closed_forms(which: str, n: int, k: int,
                     r: int = 0, s: int = 0) -> Tuple[Value, Value]:
     """Both sides of a peak-valley moment identity; the caller asserts equality.
@@ -607,7 +626,7 @@ def pv_closed_forms(which: str, n: int, k: int,
         return lhs, sign * MultiPoly.variable("V", 0) * total
     if which == "3PV-rs":
         bound = 3 * k - 1
-        lhs = negative_moment(n, r, s, bound, v_inverse())
+        lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
         total = MultiPoly.zero()
         for seq in paths.pv_sequences(3, n - 1, bound, r=r, s=s):
             total = total + paths.wt_seq_v(seq)
@@ -615,7 +634,7 @@ def pv_closed_forms(which: str, n: int, k: int,
         return lhs, sign * _v_ratio(r, s) * total
     if which == "3PV-modified-rs":
         bound = 3 * k
-        lhs = negative_moment(n, r, s, bound, v_inverse())
+        lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
         total = MultiPoly.zero()
         for seq in paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s):
             total = total + paths.wt_seq_v(seq)
@@ -659,19 +678,18 @@ def check_pv3_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
     sign corollaries."""
     params = {"n": n, "k": k, "r": r, "s": s}
     sub = []
-    ones = one_one()
     if 0 <= r <= 3 * k - 1 and 0 <= s <= 3 * k - 1:
         lhs, rhs = pv_closed_forms("3PV-rs", n, k, r, s)
         sub.append(check_values("pv3-rs", params, lhs, rhs))
-        mu = negative_moment(n, r, s, 3 * k - 1, ones)
-        count = len(paths.pv_sequences(3, n - 1, 3 * k - 1, r=r, s=s))
+        mu = _pinned_pv3_moment(n, r, s, 3 * k - 1, unit_weights=True)
+        count = paths.count(paths.pv_sequences(3, n - 1, 3 * k - 1, r=r, s=s))
         sign = (-1) ** (r // 3 + s // 3 + r + s + n)
         sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(sign * count)))
     if 0 <= r <= 3 * k and 0 <= s <= 3 * k:
         lhs, rhs = pv_closed_forms("3PV-modified-rs", n, k, r, s)
         sub.append(check_values("pv3-rs", params, lhs, rhs))
-        mu = negative_moment(n, r, s, 3 * k, ones)
-        count = len(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=r, s=s))
+        mu = _pinned_pv3_moment(n, r, s, 3 * k, unit_weights=True)
+        count = paths.count(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=r, s=s))
         sign = (-1) ** ((r + 1) // 3 + (s + 1) // 3 + r + s)
         sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(sign * count)))
     if not sub:

@@ -210,6 +210,33 @@ def test_moment_negative_index_below_one_prints_no_table(capsys):
     assert err == "error: negative moment indices start at 1\n"
 
 
+@pytest.mark.parametrize("argv, r, s", [
+    (["--n", "1", "--r", "5"], 5, 0),
+    (["--n", "1", "--s", "5"], 0, 5),
+    (["--n", "1..3", "--negative", "--r", "5"], 5, 0),
+    (["--n", "1..3", "--negative", "--s", "5"], 0, 5),
+    (["--n", "1..3", "--negative", "--r", "-1"], -1, 0),
+])
+def test_moment_height_out_of_range_is_usage_error(argv, r, s, capsys):
+    code, out, err = run_cli(["moment", "--k", "3"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: heights r = {r}, s = {s} must lie in [0, k = 3]\n"
+
+
+def test_sequence_count_streams(capsys):
+    # 139,997 sequences: a list of them alone takes tens of MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code = main(["sequence", "alt", "--n", "11", "--k", "4"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and data_lines(out) == ["139997"]
+    assert peak < 2 * 2 ** 20
+
+
 def test_moment_negative_huge_weight_stays_exact(capsys):
     code, out, _ = run_cli(["moment", "--n", "3", "--k", "1", "--b", "custom:[1e400]",
                             "--negative"], capsys)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from negmom import reciprocity
 from negmom import weights as W
-from negmom.moments import IllDefinedError
+from negmom.moments import IllDefinedError, negative_moment
 from negmom.poly import MultiPoly
 from negmom.reciprocity import (
     alt_transfer_matrix,
@@ -177,6 +178,25 @@ def test_pv_wrappers():
             assert check_pv3b(n, k).passed
     assert check_pv3_rs(2, 1, 1, 2).passed
     assert check_pv3_rs(1, 1, 9, 9).status == "SKIPPED"
+
+
+def test_pv3_rs_tuples_share_one_gf_across_n(monkeypatch):
+    built = []
+    real = reciprocity.negative_moment_gf
+    monkeypatch.setattr(reciprocity, "negative_moment_gf",
+                        lambda *args, **kw: built.append(args[:3]) or real(*args, **kw))
+    reciprocity._pinned_pv3_gf.cache_clear()
+    for n in (1, 2, 3):
+        for r in range(4):
+            for s in range(4):
+                assert check_pv3_rs(n, 1, r, s).passed, (n, r, s)
+    # one gf per (r, s, bound) and weight table: 9 pairs at bound 2, 16 at bound 3
+    assert len(built) == 2 * (9 + 16)
+    for n in (1, 4):
+        assert reciprocity._pinned_pv3_moment(n, 2, 1, 5, unit_weights=False) == \
+            negative_moment(n, 2, 1, 5, W.v_inverse())
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        check_pv3_rs(0, 1, 0, 0)
 
 
 def test_inverse_checks():
