@@ -53,38 +53,52 @@ def _render_value(v) -> str:
 
 
 class Report:
-    """Accumulated rows with a stable schema, rendered per --format."""
+    """Rows with a stable schema, written per --format as ``add`` receives
+    them; ``close`` ends the document (text: the ``# elapsed`` line).
 
-    def __init__(self, command: str, params: Dict[str, object], columns: Sequence[str]):
-        self.command = command
-        self.params = params
+    Nothing is written before the first row or ``close``, so a command
+    that fails first leaves stdout empty.  The json document is byte-equal
+    to ``json.dump(payload, indent=2, sort_keys=True)`` of the whole table,
+    its ``results`` array streamed.
+    """
+
+    def __init__(self, command: str, params: Dict[str, object],
+                 columns: Sequence[str], fmt: str):
         self.columns = list(columns)
-        self.rows: List[List[str]] = []
+        self.fmt = fmt
+        if fmt == "json":
+            # "results" sorts last: the head is the document up to its "["
+            doc = {"command": command,
+                   "params": {k: str(v) for k, v in params.items()},
+                   "results": []}
+            self.head = json.dumps(doc, indent=2, sort_keys=True)[:-len("]\n}")]
+        else:
+            self.head = ",".join(self.columns) + "\n" if fmt == "csv" else ""
+        self.out = sys.stdout
+        self.rows = 0
         self.started = time.monotonic()
 
     def add(self, *cells: object):
-        self.rows.append([str(c) for c in cells])
+        row = [str(c) for c in cells]
+        if not self.rows:
+            self.out.write(self.head)
+        if self.fmt == "json":
+            item = json.dumps(dict(zip(self.columns, row)), indent=2, sort_keys=True)
+            self.out.write((",\n    " if self.rows else "\n    ") + item.replace("\n", "\n    "))
+        elif self.fmt == "csv":
+            self.out.write(",".join(cell.replace(",", ";") for cell in row) + "\n")
+        else:
+            self.out.write(" ".join(row) + "\n")
+        self.rows += 1
 
-    def emit(self, fmt: str, out=None) -> None:
-        out = out or sys.stdout
-        if fmt == "json":
-            payload = {
-                "command": self.command,
-                "params": {k: str(v) for k, v in self.params.items()},
-                "results": [dict(zip(self.columns, row)) for row in self.rows],
-            }
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
-            return
-        if fmt == "csv":
-            out.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                out.write(",".join(cell.replace(",", ";") for cell in row) + "\n")
-            return
-        for row in self.rows:
-            out.write(" ".join(row) + "\n")
-        elapsed = time.monotonic() - self.started
-        out.write(f"# elapsed {elapsed:.3f}s\n")
+    def close(self) -> None:
+        if not self.rows:
+            self.out.write(self.head)
+        if self.fmt == "json":
+            self.out.write("\n  ]\n}\n" if self.rows else "]\n}\n")
+        elif self.fmt == "text":
+            elapsed = time.monotonic() - self.started
+            self.out.write(f"# elapsed {elapsed:.3f}s\n")
 
 
 def _build_spec(args) -> WeightSpec:
@@ -102,7 +116,7 @@ def cmd_moment(args) -> int:
                     {"n": args.n, "r": args.r, "s": args.s, "k": args.k,
                      "b": args.b, "lambda": args.lam,
                      "negative": args.negative},
-                    ["n", "value"])
+                    ["n", "value"], args.format)
     if args.negative:
         ok, cert = well_defined(args.k, spec)
         if not ok:
@@ -123,7 +137,7 @@ def cmd_moment(args) -> int:
             seq[i] = u[args.s]
         for n in ns:
             report.add(n, _render_value(seq[n]))
-    report.emit(args.format)
+    report.close()
     return 0
 
 
@@ -132,7 +146,8 @@ def cmd_sequence(args) -> int:
     report = Report("sequence",
                     {"family": fam, "n": args.n, "k": args.k, "m": args.m,
                      "ell": args.ell, "emit": args.emit},
-                    ["item"])
+                    ["item", "weight"] if args.emit == "weights" else ["item"],
+                    args.format)
     n = int(args.n)
     if fam == "motzkin":
         objs = paths.motzkin_paths(n, args.r or 0, args.s or 0, args.k)
@@ -181,8 +196,7 @@ def cmd_sequence(args) -> int:
     else:
         for o in objs:
             report.add(enc(o), wt(o))
-        report.columns = ["item", "weight"]
-    report.emit(args.format)
+    report.close()
     return 0
 
 
@@ -314,7 +328,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    report = Report("verify", {"identity": identity}, ["line"])   # starts the clock
+    as_json = args.format == "json"
+    report = Report("verify", {"identity": identity},   # starts the clock
+                    ["identity", "params", "status", "witness"] if as_json else ["line"],
+                    args.format)
     jobs = [(identity, key, params) for key, params in tuples]
     workers = worker_count(os.environ.get("NEGMOM_THREADS"), os.cpu_count())
     if workers > 1 and len(jobs) > 1:
@@ -326,19 +343,16 @@ def cmd_verify(args) -> int:
     results.sort(key=lambda r: r[0])
     for key, params, status, witness in results:
         ptxt = ",".join(f"{k}={v}" for k, v in params.items())
+        if as_json:
+            report.add(identity, ptxt, status, witness or "")
+            continue
         line = f"{identity} params={ptxt} status={status}"
         if status == "FAIL" and witness:
             line += f" witness={witness}"
         elif status == "ERROR":
             line += f" error={witness}"
         report.add(line)
-    if args.format == "json":
-        report.columns = ["identity", "params", "status", "witness"]
-        report.rows = []
-        for key, params, status, witness in results:
-            report.add(identity, ",".join(f"{k}={v}" for k, v in params.items()),
-                       status, witness or "")
-    report.emit(args.format)
+    report.close()
     statuses = {r[2] for r in results}
     return INTERNAL_ERROR if "ERROR" in statuses else FAIL_ERROR if "FAIL" in statuses else 0
 
@@ -399,7 +413,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): nothing is left to report,
+        # and the interpreter's last flush must not fail on the dead pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (ValueError, IllDefinedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -29,10 +29,15 @@ if that range leaves the field; an exponent never wraps.
 Tuple monomials, sorted tuples of ``(variable, exponent)`` pairs with
 nonzero exponents, appear only at the public edge: the constructor,
 ``terms``, ``leading``, ``monomial_content``, ``shift_monomial`` and
-``render``.  Canonical term order is graded lexicographic: monomials are
-compared first by total degree, then lexicographically on the exponent
-vector taken in variable order.  The text rendering produced by
-``render`` is the fixture format used throughout the test suite.
+pickling.  Canonical term order: a higher total degree comes first;
+between equal degrees, walk the variables in variable order (family as
+listed above, then index) and let the first variable where the two
+monomials differ decide: a variable present in one monomial and absent
+from the other puts the first one ahead, even with a negative exponent,
+and when both have it the larger exponent comes first.  ``_canonical``
+reads this order off the packed keys with one integer sort.  The text
+rendering produced by ``render`` is the fixture format used throughout
+the test suite.
 """
 
 from __future__ import annotations
@@ -83,6 +88,20 @@ EXPONENT_LIMIT = _HALF - 1   # largest |exponent| a field holds
 _SLOT: Dict[Var, int] = {}   # variable -> slot, append-only
 _VARS: List[Var] = []        # slot -> variable
 _BIAS: List[int] = []        # slot -> HALF * (1 + B + ... + B**slot)
+_RANK: List[Tuple[int, int]] = []     # slot -> _var_key of its variable
+_POWERS: List[Dict[int, str]] = []    # slot -> {e: "name" or "name^e"}
+
+
+class _Powers(dict):
+    """Rendered ``name^e`` factors of one variable, filled on first use."""
+
+    def __init__(self, name: str):
+        super().__init__({1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
 
 
 def _slot(v: Var) -> int:
@@ -94,7 +113,15 @@ def _slot(v: Var) -> int:
         _SLOT[v] = s
         _VARS.append(v)
         _BIAS.append((_BIAS[-1] if _BIAS else 0) + (_HALF << (_W * s)))
+        _RANK.append(_var_key(v))
+        _POWERS.append(_Powers(var_name(v)))
     return s
+
+
+def _exponents(keys: Iterable[int], s: int) -> List[int]:
+    """Exponent of slot ``s`` in each key: one biased shift and mask."""
+    bias, sh = _BIAS[s], _W * s
+    return [(((k + bias) >> sh) & _MASK) - _HALF for k in keys]
 
 
 def _fields(key: int) -> List[Tuple[int, int]]:
@@ -175,11 +202,34 @@ def _product_bound(a: Iterable[int], b: Iterable[int]) -> int:
     return bound
 
 
-def _mono_sort_key(m: Monomial):
-    # graded lex: higher total degree first, then larger leading exponents
-    ordered = sorted(m, key=lambda it: _var_key(it[0]))
-    return (sum(e for _, e in m),
-            tuple((-_var_key(v)[0], -_var_key(v)[1], e) for v, e in ordered))
+def _canonical(keys: List[int]) -> Tuple[List[int], List[Tuple[int, ...]], List[int]]:
+    """The slots present in ``keys`` in variable order, each key's exponent
+    row over those slots, and one integer per key that sorts in canonical
+    order (larger = earlier).
+
+    The integer stacks the total degree on top of one field per present
+    slot, first variable highest.  A field holds ``e + top + 1 >= 1`` for
+    an exponent e (|e| <= top) and 0 for an absent variable, so a present
+    variable outranks an absent one even when its exponent is negative.
+    """
+    if not keys:
+        return [], [], []
+    reach = max(map(abs, keys)).bit_length() // _W + 1   # no higher slot is set
+    cols = []
+    for s in range(min(reach, len(_VARS))):
+        col = _exponents(keys, s)
+        if any(col):
+            cols.append((_RANK[s], s, col))
+    if not cols:
+        return [], [()] * len(keys), [0] * len(keys)
+    cols.sort()
+    top = max(max(max(col), -min(col)) for _, _, col in cols)
+    off, width = top + 1, (2 * top + 1).bit_length()
+    rows = list(zip(*[col for _, _, col in cols]))
+    order = list(map(sum, rows))   # total degree on top; a negative one sorts too
+    for _, _, col in cols:
+        order = [(o << width) + (e + off if e else 0) for o, e in zip(order, col)]
+    return [s for _, s, _ in cols], rows, order
 
 
 class MultiPoly:
@@ -245,10 +295,14 @@ class MultiPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[Tuple[Monomial, Scalar]]:
-        """Terms in descending canonical order."""
-        decoded = [(_decode(k), c) for k, c in self._terms.items()]
-        decoded.sort(key=lambda mc: _mono_sort_key(mc[0]), reverse=True)
-        return iter(decoded)
+        """Terms in canonical order: higher total degree first; between
+        equal degrees the first variable (in variable order) where two
+        monomials differ decides, a present variable beating an absent one
+        even with a negative exponent, else the larger exponent first."""
+        keys = list(self._terms)
+        order = _canonical(keys)[2]
+        ranked = sorted(range(len(keys)), key=order.__getitem__, reverse=True)
+        return iter([(_decode(keys[i]), self._terms[keys[i]]) for i in ranked])
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -278,18 +332,21 @@ class MultiPoly:
         s = _SLOT.get(var)
         if s is None:
             return 0, [0] * len(self._terms)
-        bias, sh = _BIAS[s], _W * s
-        return sh, [(((k + bias) >> sh) & _MASK) - _HALF for k in self._terms]
+        return _W * s, _exponents(self._terms, s)
 
     def degree(self, var: Var) -> int:
         """Largest exponent of ``var`` (0 when absent; Laurent may be < 0)."""
         return max(self._column(var)[1], default=0)
 
     def leading(self) -> Tuple[Monomial, Scalar]:
-        """Leading term in canonical order; zero polynomial rejected."""
+        """First term in canonical order (see ``terms``): the highest total
+        degree, ties broken at the first variable where monomials differ.
+        The zero polynomial is rejected."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        k = max(self._terms, key=lambda k: _mono_sort_key(_decode(k)))
+        keys = list(self._terms)
+        order = _canonical(keys)[2]
+        k = keys[max(range(len(keys)), key=order.__getitem__)]
         return _decode(k), self._terms[k]
 
     def coefficient(self, var: Var, exp: int) -> "MultiPoly":
@@ -519,15 +576,20 @@ class MultiPoly:
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form: sorted monomials, ^ powers, * separators."""
+        """Canonical text form: terms in the order of ``terms`` (higher total
+        degree first, then the first differing variable decides, present
+        beating absent, larger exponent first), factors in variable order
+        joined by ``*``, powers as ``^e``."""
         if not self._terms:
             return "0"
+        keys = list(self._terms)
+        coeffs = list(self._terms.values())
+        slots, rows, order = _canonical(keys)
+        powers = [_POWERS[s] for s in slots]
         parts = []
-        for m, c in self.terms():
-            factors = []
-            for v, e in sorted(m, key=lambda it: _var_key(it[0])):
-                factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-            mono_str = "*".join(factors)
+        for i in sorted(range(len(keys)), key=order.__getitem__, reverse=True):
+            mono_str = "*".join([p[e] for p, e in zip(powers, rows[i]) if e])
+            c = coeffs[i]
             neg = c < 0
             ac = -c if neg else c
             if mono_str and ac == 1:

@@ -150,16 +150,18 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     if n < 1 or k < 1 or m < 1:
         return skipped(ident, params, "needs positive n, k, m")
     K = k + m - 1
-    ok, _cert = well_defined(K, spec)
+    ok, cert = well_defined(K, spec)
     if not ok:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
     lhs = det_moment_grid("positive", n, k, m, spec)
-    d, vecs = adjugate_vectors(K, spec, 0, n + 2 * (m - 1))
+    d = cert if K % 2 else -cert   # P_{K+1}(0) = det(-A) = (-1)^(K+1) det A
+    # the backward grid and its det A on the reversed weights b_{K-i}, lam_{K+1-i}
+    d_rev, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
     rows = [[vecs[n + i + j][0] for j in range(m)] for i in range(m)]
-    det_h = determinant(Matrix(rows))
+    det_h_rev = determinant(Matrix(rows))
     denom_power = m * n + m * (m - 1)
-    rhs_num = d ** (n + 2 * m - 2) * det_h.reverse_index(K)
-    rhs_den = d.reverse_index(K) ** denom_power
+    rhs_num = d ** (n + 2 * m - 2) * det_h_rev
+    rhs_den = d_rev ** denom_power
     for i in range(1, K + 1):
         e = k - i
         if e >= 0:

@@ -48,6 +48,14 @@ class WeightSpec:
         b, lam = self.b, self.lam
         return WeightSpec(f"{self.name}<<{j}", lambda i: b(i + j), lambda i: lam(i + j))
 
+    def reversed(self, K: int) -> "WeightSpec":
+        """Index reversal at bound K: b_i -> b_{K-i}, lam_i -> lam_{K+1-i}.
+        Unlike relabeling variables afterwards, this also reverses weights
+        that are numbers."""
+        b, lam = self.b, self.lam
+        return WeightSpec(f"reversed{K}({self.name})",
+                          lambda i: b(K - i), lambda i: lam(K + 1 - i))
+
     # a-sequence alias for the Laurent side
     @property
     def a(self) -> Gen:

@@ -321,3 +321,54 @@ def test_bad_worker_count_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(["verify", "ck", "--n", "1", "--k", "1"], capsys)
     assert code == 2
     assert "NEGMOM_THREADS" in err
+
+
+def test_sequence_list_streams_its_rows():
+    # 139,997 rows: held as strings until the end they peaked at 22.7 MB traced
+    import contextlib
+    import os
+    import tracemalloc
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["sequence", "alt", "--n", "11", "--k", "4", "--emit", "list"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["sequence", "alt", "--n", "3", "--k", "2", "--emit", "list"],
+    ["sequence", "schroeder", "--n", "1", "--k", "0", "--emit", "list"],   # no rows
+    ["verify", "ck", "--n", "0..2", "--k", "1"],
+])
+def test_streamed_json_matches_whole_document(argv, capsys):
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_closed_stdout_is_not_an_error():
+    # the reader stops after one line, as `negmom ... | head -1` does
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import negmom
+    src = str(Path(negmom.__file__).parent.parent)
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    # about 1 MB of rows: far more than a pipe buffers, so writes meet the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "negmom.cli", "sequence", "alt",
+                             "--n", "10", "--k", "4", "--emit", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first == b"(1,1,1,1,1,1,1,1,1,1)\n"
+    assert err == b""

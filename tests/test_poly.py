@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negmom import poly as P
@@ -357,3 +357,89 @@ def test_only_poly_reads_packed_terms():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_terms"]
     assert readers == []
+
+
+# -- canonical term order ----------------------------------------------------------
+
+def _mono_sort_key(m):
+    """Canonical order on tuple monomials, as first defined (larger = earlier)."""
+    ordered = sorted(m, key=lambda it: P._var_key(it[0]))
+    return (sum(e for _, e in m),
+            tuple((-P._var_key(v)[0], -P._var_key(v)[1], e) for v, e in ordered))
+
+
+def _render_reference(p):
+    """``render`` spelled out on tuple monomials in the reference order."""
+    parts = []
+    for m, c in sorted(p.terms(), key=lambda mc: _mono_sort_key(mc[0]), reverse=True):
+        ordered = sorted(m, key=lambda it: P._var_key(it[0]))
+        mono = "*".join(P.var_name(v) if e == 1 else f"{P.var_name(v)}^{e}"
+                        for v, e in ordered)
+        ac = abs(c)
+        body = mono if mono and ac == 1 else f"{ac}*{mono}" if mono else str(ac)
+        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+# fresh variables interned against variable order: later families and
+# higher indices take the lower slots
+ORDER_VARS = [("x", -1), ("q", -1), ("A", 9), ("V", 9), ("a", 9), ("a", 8),
+              ("lam", 19), ("lam", 18), ("b", 29), ("b", 28)]
+for _v in ORDER_VARS:
+    MultiPoly.variable(_v[0], None if _v[1] < 0 else _v[1])
+order_exps = st.integers(-2, 2) | st.sampled_from((-LIMIT, LIMIT - 1, 9))   # wide fields too
+
+
+def _polys_over(pool):
+    # few variables per polynomial, so equal degrees and shared variables are common
+    monos = st.dictionaries(st.sampled_from(pool), order_exps, max_size=len(pool))
+    return st.dictionaries(monos.map(lambda d: tuple(d.items())), coeffs,
+                           max_size=8).map(MultiPoly)
+
+
+order_polys = st.lists(st.sampled_from(VARS + ORDER_VARS), min_size=1, max_size=4,
+                       unique=True).flatmap(_polys_over)
+
+
+def _poly(*monos):
+    return MultiPoly({tuple(m.items()): 1 for m in monos})
+
+
+B0, B1, Q, X = ("b", 0), ("b", 1), ("q", -1), ("x", -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_polys)
+@example(_poly({B1: 1}, {B0: -1, B1: 2}))             # present and negative beats absent
+@example(_poly({B0: -4, B1: 4}, {B0: -3, Q: 2, X: 1}))   # fields up to 2*4 + 1
+@example(_poly({}, {Q: -LIMIT}, {B0: LIMIT, Q: -LIMIT}))
+@example(_poly({}, {Q: 1, X: -1}))                    # a constant and a degree-0 term
+def test_term_order_matches_tuple_reference(p):
+    terms = list(p.terms())
+    assert terms == sorted(terms, key=lambda mc: _mono_sort_key(mc[0]), reverse=True)
+    if terms:
+        assert p.leading() == terms[0]
+    assert p.render() == _render_reference(p)
+
+
+def test_render_golden_hashes():
+    """sha256 of ``render`` output, recorded with the tuple-monomial renderer."""
+    import hashlib
+
+    from negmom.laurent import sigma_negative
+    from negmom.moments import moment_gf, moment_vectors
+    from negmom.weights import laurent_symbolic, symbolic
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    table = "\n".join(p.render() for u in moment_vectors(3, symbolic(), 0, 12) for p in u)
+    assert digest(table) == "8cc26e908bcde74694526533ab2e3b8c45704a058981ce165dcdbcea64909e62"
+    gf = moment_gf(1, 2, 3, symbolic())   # a RatFunc with a denominator of degree 4 in x
+    assert not gf.is_poly()
+    assert digest(gf.render()) == \
+        "e0911592913c93ad6e03e5babf956a8e7a1a6281f29ca8ad3d8fe314486b08e1"
+    laurent = sigma_negative(3, 2, laurent_symbolic())   # negative powers of b
+    assert digest(laurent.render()) == \
+        "fb614a24914cb4a082b2118b4bbea87484a0d2505222b402122445e009d87f2a"

@@ -93,6 +93,25 @@ def test_main_reciprocity_specialized():
                     assert c.status in ("PASS", "SKIPPED")
 
 
+@pytest.mark.parametrize("nkm", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 2)])
+def test_main_reciprocity_non_palindromic_numeric_spec(nkm):
+    # numbers have no index to relabel, so relabeling the backward side
+    # afterwards would leave it unreversed: it is computed on reversed weights
+    spec = W.spec("custom:[2,3,5,7,11]", "custom:[1,4,9,2,6]")
+    assert check_main_reciprocity(*nkm, spec).status == "PASS"
+
+
+def test_reversed_spec_reverses_indices():
+    spec = W.spec("custom:[2,3,5]", "symbolic")
+    rev = spec.reversed(3)
+    assert [rev.b(i) for i in range(4)] == [MultiPoly.variable("b", 3), MultiPoly.const(5),
+                                             MultiPoly.const(3), MultiPoly.const(2)]
+    assert [rev.lam(i) for i in (1, 2, 3)] == [MultiPoly.variable("lam", i) for i in (3, 2, 1)]
+    assert rev != spec and rev.name != spec.reversed(4).name
+    sym = W.symbolic().reversed(3)
+    assert sym.b(1) == W.symbolic().b(2) and sym.reversed(3).lam(1) == W.symbolic().lam(1)
+
+
 def test_main_reciprocity_skips_ill_defined():
     # (z, 1) at even bound k+m-1 has no backward side
     assert check_main_reciprocity(1, 1, 2, W.zero_one()).status == "SKIPPED"
