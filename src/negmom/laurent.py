@@ -6,17 +6,17 @@ with the generating function a ratio of inverted L-polynomials.  The
 backward extension trades (b, a) for the reciprocal pair
 b'_i = 1/b_i, a'_i = a_i/(b_{i-1} b_i) and shifts the path length by
 one index, counting by half-length (a Schroeder path to (2n, 0) sits at
-index n).
+index n).  The brute-force path sums live with the checks in
+``reciprocity``.
 """
 
 from __future__ import annotations
 
 from typing import Tuple, Union
 
-from . import paths
 from .poly import MultiPoly
 from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand, x_coeffs
-from .weights import WeightSpec, laurent_reciprocal
+from .weights import WeightSpec, laurent_ones
 
 Value = Union[MultiPoly, RatFunc]
 
@@ -84,38 +84,10 @@ def sigma_negative(n: int, k: int, spec: WeightSpec) -> MultiPoly:
     return series_expand(sigma_negative_gf(k, spec), n + 1)[n]
 
 
-def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
-    """Brute-force side: 1/b0 times the reciprocal-weight sum over paths
-    to (2(n-1), 0) of height at most k."""
-    rec = laurent_reciprocal(spec)
-    total = MultiPoly.zero()
-    for p in paths.schroeder_paths(2 * (n - 1), k):
-        total = total + paths.wt_schroeder(p, rec.b, rec.a)
-    return spec.b(0).unit_inverse() * total
-
-
 def schroeder_count_reciprocity(n: int, k: int) -> Tuple[Value, Value]:
     """Both sides of s_{-n} = s_{n-1} for unit weights, counting by
     half-length."""
-    ones = WeightSpec("b=one,a=one", lambda i: _ONE, lambda i: _ONE)
+    ones = laurent_ones()
     lhs = sigma_negative(n, k, ones)
     rhs = sigma_moment(n - 1, k, ones)
     return lhs, rhs
-
-
-def kamioka_moment(p: int, spec: WeightSpec) -> MultiPoly:
-    """Unbounded Schroeder moment L(x^p) for any integer p, by stabilization.
-
-    A path to (2n, 0) never exceeds height n, so the bound 2n is safely
-    stabilized for the forward side; the backward side is the reciprocal
-    weighted sum over Sch_{2n} with n = -p - 1.
-    """
-    if p >= 0:
-        k = max(2 * p, 1)
-        return sigma_moment(p, k, spec)
-    n = -p - 1
-    rec = laurent_reciprocal(spec)
-    total = MultiPoly.zero()
-    for path in paths.schroeder_paths(2 * n, 2 * n if n else 1):
-        total = total + paths.wt_schroeder(path, rec.b, rec.a)
-    return spec.b(0).unit_inverse() * total

@@ -212,6 +212,3 @@ def matrix_inverse(m: Matrix) -> Matrix:
     adj = adjugate(m)
     return adj.map(lambda e: RatFunc(e, det))
 
-
-def matrix_reverse_index(m: Matrix, n: int) -> Matrix:
-    return m.map(lambda e: e.reverse_index(n))

@@ -490,7 +490,7 @@ class MultiPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- substitution and relabeling ----------------------------------------
+    # -- substitution ------------------------------------------------------
 
     def subs(self, assignment: Mapping[Var, Union["MultiPoly", Scalar]]) -> "MultiPoly":
         """Substitute values for variables; untouched variables pass through.
@@ -521,36 +521,6 @@ class MultiPoly:
                     del out[tk]
             bound = max(bound, term._bound)
         return _wrap(out, bound)
-
-    def map_vars(self, fn) -> "MultiPoly":
-        """Rewrite every variable through ``fn: Var -> Var`` (a relabeling)."""
-        out: Dict[Monomial, Scalar] = {}
-        for k, c in self._terms.items():
-            nm = tuple(sorted((fn(_VARS[s]), e) for s, e in _fields(k)))
-            out[nm] = out.get(nm, 0) + c
-        return MultiPoly(out)
-
-    def reverse_index(self, n: int) -> "MultiPoly":
-        """Index reversal b_i -> b_{n-i}, lam_i -> lam_{n+1-i}; an involution."""
-        def fn(v: Var) -> Var:
-            fam, idx = v
-            if fam == "b":
-                return make_var("b", n - idx)
-            if fam == "lam":
-                return make_var("lam", n + 1 - idx)
-            return v
-        return self.map_vars(fn)
-
-    def swap_av(self, k: int) -> "MultiPoly":
-        """Relabeling A_i -> V_{k+1-i}, V_i -> A_{k+1-i}; an involution."""
-        def fn(v: Var) -> Var:
-            fam, idx = v
-            if fam == "A":
-                return make_var("V", k + 1 - idx)
-            if fam == "V":
-                return make_var("A", k + 1 - idx)
-            return v
-        return self.map_vars(fn)
 
     # -- Laurent normalization ----------------------------------------------
 

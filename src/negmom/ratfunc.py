@@ -175,15 +175,6 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def subs(self, assignment) -> "RatFunc":
-        den = self.den.subs(assignment)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes after substitution")
-        return RatFunc(self.num.subs(assignment), den)
-
-    def reverse_index(self, n: int) -> "RatFunc":
-        return RatFunc(self.num.reverse_index(n), self.den.reverse_index(n), reduce=False)
-
     def render(self) -> str:
         if self.is_poly():
             return self.num.render()

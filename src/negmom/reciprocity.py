@@ -17,7 +17,8 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import paths
-from .matrix import Matrix, determinant, matrix_reverse_index
+from .laurent import schroeder_count_reciprocity, sigma_moment, sigma_negative
+from .matrix import Matrix, determinant
 from .moments import (
     IllDefinedError,
     adjugate_vectors,
@@ -40,6 +41,8 @@ from .weights import (
     doubled_even,
     doubled_odd,
     dyck_v,
+    laurent_reciprocal,
+    laurent_symbolic,
     one_one,
     spec as make_spec,
     symbolic,
@@ -248,7 +251,8 @@ def check_conjecture53(n: int, k: int, m: int) -> IdentityCheck:
 
 
 def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
-    """Grid reciprocity for Dyck-path moments with fully symbolic lam."""
+    """Grid reciprocity for Dyck-path moments with fully symbolic lam; the
+    backward grid is taken on ``spec.reversed(2k+2m-1)``, lam_i -> lam_{2k+2m-i}."""
     params = {"n": n, "k": k, "m": m}
     if n < 1 or k < 1 or m < 1:
         return skipped("thm34", params, "needs positive n, k, m")
@@ -257,7 +261,7 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
     seq = _forward_sequence(bound, spec, 2 * n + 4 * (k - 1) + 4 * m - 2)
     rows = [[seq[2 * n + 2 * i + 2 * j + 4 * m - 2] for j in range(k)] for i in range(k)]
     lhs = determinant(Matrix(rows))
-    back = _backward_sequence(bound, spec, 2 * n + 4 * (m - 1))
+    back = _backward_sequence(bound, spec.reversed(bound), 2 * n + 4 * (m - 1))
     rows_b = [[back[2 * n + 2 * i + 2 * j] for j in range(m)] for i in range(m)]
     det_b = determinant(Matrix(rows_b))
     prefactor = MultiPoly.const(1)
@@ -265,7 +269,7 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
         prefactor = prefactor * MultiPoly.variable("lam", 2 * i) ** (k - i)
     for i in range(1, k + m + 1):
         prefactor = prefactor * MultiPoly.variable("lam", 2 * i - 1) ** (k - i + n + 2 * m - 1)
-    rhs = prefactor * det_b.reverse_index(bound)
+    rhs = prefactor * det_b
     return check_values("thm34", params, lhs, rhs)
 
 
@@ -449,17 +453,8 @@ def b_matrix(k: int) -> Matrix:
 
 
 def reversed_special_matrix(k: int) -> Matrix:
-    """Index-reversed transfer matrix specialized at the alternating-sign
-    weights."""
-    A = transfer_matrix(k, symbolic())
-    rev = matrix_reverse_index(A, k)
-    bs = b_special(k)
-    assign = {}
-    for i in range(k + 1):
-        assign[("b", i)] = bs.b(i)
-        if i >= 1:
-            assign[("lam", i)] = MultiPoly.const(-1)
-    return rev.map(lambda e: e.subs(assign))
+    """Transfer matrix of the index-reversed alternating-sign weights."""
+    return transfer_matrix(k, b_special(k).reversed(k))
 
 
 def check_special_dets(k: int) -> IdentityCheck:
@@ -551,20 +546,11 @@ def check_connection1(n: int, k: int) -> IdentityCheck:
 
 
 def check_connection2(n: int, k: int) -> IdentityCheck:
-    """Reversed negative special-weight moments as alternating counts."""
+    """Negative moments of the special weights reversed at k,
+    ``b_special(k).reversed(k)``, as alternating counts."""
     params = {"n": n, "k": k}
-    if n == 0:
-        return check_values("connection2", params, MultiPoly.const(1),
-                            MultiPoly.const(paths.count_alt(0, k + 1)))
-    d, vecs = adjugate_vectors(k, symbolic(), 0, n)
-    num = vecs[n][0].reverse_index(k)
-    den = d.reverse_index(k) ** n
-    bs = b_special(k)
-    assign = {("b", i): bs.b(i) for i in range(k + 1)}
-    assign.update({("lam", i): MultiPoly.const(-1) for i in range(1, k + 1)})
-    val = RatFunc(num.subs(assign), den.subs(assign))
-    sign = (-1) ** (k * n)
-    lhs = sign * val.num if val.is_poly() else sign * val
+    d, vecs = adjugate_vectors(k, b_special(k).reversed(k), 0, n)
+    lhs = (-1) ** (k * n) * over_power(vecs[n][0], d, n)
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
     return check_values("connection2", params, lhs, rhs)
 
@@ -605,7 +591,8 @@ def pv_closed_forms(which: str, n: int, k: int,
     The left side is the negative moment computed from the closed-form
     machinery, the right side a brute-force weighted sequence count.
     Boundary conventions at n = 1 follow the (r, s)-pinned sets, which is
-    what the inverse-matrix expansion actually produces.
+    what the inverse-matrix expansion actually produces.  The weighted-Alt
+    pair is stated on the weights ``av_lambda().reversed(2k-1)``.
     """
     if which == "2PV":
         lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
@@ -643,11 +630,11 @@ def pv_closed_forms(which: str, n: int, k: int,
         sign = -1 if ((r + 1) // 3 + (s + 1) // 3 + n) % 2 else 1
         return lhs, sign * _v_ratio(r, s) * total
     if which == "weighted-Alt":
-        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda())
+        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda().reversed(2 * k - 1))
         total = MultiPoly.zero()
         for seq in paths.alt_sequences(2 * n - 1, k):
             total = total + paths.wt_seq_av(seq)
-        return lhs, MultiPoly.variable("V", 1) * total.swap_av(k)
+        return lhs, MultiPoly.variable("A", k) * total
     raise ValueError(f"unknown identity {which!r}")
 
 
@@ -785,15 +772,30 @@ def check_inverse_minor_identity(size: int, seed: int = 0) -> IdentityCheck:
 
 # -- Schroeder side -----------------------------------------------------------------
 
+def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
+    """Brute-force side: 1/b0 times the reciprocal-weight sum over paths
+    to (2(n-1), 0) of height at most k."""
+    rec = laurent_reciprocal(spec)
+    total = MultiPoly.zero()
+    for p in paths.schroeder_paths(2 * (n - 1), k):
+        total = total + paths.wt_schroeder(p, rec.b, rec.a)
+    return spec.b(0).unit_inverse() * total
+
+
+def kamioka_moment(p: int, spec: WeightSpec) -> MultiPoly:
+    """Unbounded Schroeder moment L(x^p) for any integer p, by stabilization.
+
+    A path to (2n, 0) never exceeds height n, so the bound 2n is safely
+    stabilized for the forward side; the backward side is the oracle's
+    reciprocal-weight sum over Sch_{2n} with n = -p - 1.
+    """
+    if p >= 0:
+        return sigma_moment(p, max(2 * p, 1), spec)
+    return sigma_negative_oracle(-p, max(-2 * p - 2, 1), spec)
+
+
 def check_sigma(n: int, k: int) -> IdentityCheck:
     """Backward Schroeder moments: symbolic identity plus count reciprocity."""
-    from .laurent import (
-        schroeder_count_reciprocity,
-        sigma_negative,
-        sigma_negative_oracle,
-    )
-    from .weights import laurent_symbolic
-
     params = {"n": n, "k": k}
     sub = []
     syms = laurent_symbolic()

@@ -31,6 +31,9 @@ def _sym_gen(family: str) -> Gen:
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
+    """Weights b_i (i >= 0) and lam_i (i >= 1) as generators.  Identities
+    that compare index-reversed weights take ``reversed(K)``, the package's
+    only index reversal, so numeric weights reverse like symbolic ones."""
     name: str
     b: Gen
     lam: Gen
@@ -49,9 +52,8 @@ class WeightSpec:
         return WeightSpec(f"{self.name}<<{j}", lambda i: b(i + j), lambda i: lam(i + j))
 
     def reversed(self, K: int) -> "WeightSpec":
-        """Index reversal at bound K: b_i -> b_{K-i}, lam_i -> lam_{K+1-i}.
-        Unlike relabeling variables afterwards, this also reverses weights
-        that are numbers."""
+        """Index reversal at bound K: b_i -> b_{K-i}, lam_i -> lam_{K+1-i};
+        the package's only index reversal, applied before any computation."""
         b, lam = self.b, self.lam
         return WeightSpec(f"reversed{K}({self.name})",
                           lambda i: b(K - i), lambda i: lam(K + 1 - i))

@@ -7,7 +7,7 @@ from pathlib import Path
 import negmom
 
 SRC = Path(negmom.__file__).parent
-CLOSED_FORM = {"poly", "ratfunc", "matrix", "weights", "moments"}
+CLOSED_FORM = {"poly", "ratfunc", "matrix", "weights", "moments", "laurent"}
 
 
 def _tree(name: str) -> ast.Module:

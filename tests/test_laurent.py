@@ -4,7 +4,6 @@ import pytest
 
 from negmom import poly as P
 from negmom.laurent import (
-    kamioka_moment,
     laurent_poly,
     schroeder_count_reciprocity,
     sigma_cf,
@@ -13,10 +12,10 @@ from negmom.laurent import (
     sigma_negative,
     sigma_negative_cf,
     sigma_negative_gf,
-    sigma_negative_oracle,
 )
 from negmom.paths import schroeder_paths, wt_schroeder
 from negmom.poly import MultiPoly
+from negmom.reciprocity import kamioka_moment, sigma_negative_oracle
 from negmom.weights import laurent_ones, laurent_reciprocal, laurent_symbolic
 
 SYM = laurent_symbolic()

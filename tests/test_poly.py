@@ -15,6 +15,7 @@ from negmom.poly import (
     poly_div_exact,
     poly_gcd,
 )
+from negmom import weights as W
 
 
 def rand_poly(rng, max_terms=4, families=("b", "lam", "V")):
@@ -95,20 +96,43 @@ def test_substitute_partial():
     assert out == MultiPoly.const(7) + P.lam(2)
 
 
+def reverse_index(e, n):
+    """e relabeled b_i -> b_{n-i}, lam_i -> lam_{n+1-i} through WeightSpec.reversed."""
+    rev = W.symbolic().reversed(n)
+    assignment = {("b", i): rev.b(i) for i in range(n + 1)}
+    assignment.update({("lam", i): rev.lam(i) for i in range(1, n + 1)})
+    return e.subs(assignment)
+
+
+def swap_av(e, k):
+    """e relabeled A_j -> V_{k+1-j}, V_j -> A_{k+1-j} for j = 0..k+1."""
+    assignment = {}
+    for j in range(k + 2):
+        assignment[("A", j)] = MultiPoly.variable("V", k + 1 - j)
+        assignment[("V", j)] = MultiPoly.variable("A", k + 1 - j)
+    return e.subs(assignment)
+
+
 def test_reverse_index_relabeling():
     e = P.b(1) + P.lam(2) + P.b(3) ** 2 * P.lam(1)
-    assert e.reverse_index(5) == P.b(4) + P.lam(4) + P.b(2) ** 2 * P.lam(5)
-    assert e.reverse_index(5).reverse_index(5) == e
-    assert (P.b(0) * P.lam(2)).reverse_index(3).reverse_index(3) == P.b(0) * P.lam(2)
+    assert reverse_index(e, 5) == P.b(4) + P.lam(4) + P.b(2) ** 2 * P.lam(5)
+    assert reverse_index(reverse_index(e, 5), 5) == e
+    assert reverse_index(reverse_index(P.b(0) * P.lam(2), 3), 3) == P.b(0) * P.lam(2)
 
 
 def test_swap_av_involution():
     m = P.V(1) * P.A(2)
-    assert m.swap_av(2) == m
+    assert swap_av(m, 2) == m
     rng = random.Random(7)
     for _ in range(20):
         p = rand_poly(rng, families=("V", "A"))
-        assert p.swap_av(3).swap_av(3) == p
+        assert swap_av(swap_av(p, 3), 3) == p
+    # the swap is the index reversal of av_lambda at K = 2k-1
+    av = W.av_lambda()
+    for k in (1, 2, 3):
+        rev = av.reversed(2 * k - 1)
+        for i in range(1, 2 * k):
+            assert rev.lam(i) == swap_av(av.lam(i), k), (k, i)
 
 
 def test_exact_division():

@@ -1,10 +1,12 @@
 """Identity checks on small grids; the acceptance suite runs the full ones."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from negmom import reciprocity
 from negmom import weights as W
-from negmom.moments import IllDefinedError, negative_moment
+from negmom.moments import IllDefinedError, adjugate_vectors, negative_moment, well_defined
 from negmom.poly import MultiPoly
 from negmom.reciprocity import (
     alt_transfer_matrix,
@@ -93,11 +95,25 @@ def test_main_reciprocity_specialized():
                     assert c.status in ("PASS", "SKIPPED")
 
 
+def _custom(vals):
+    return "custom:[" + ",".join(map(str, vals)) + "]"
+
+
+_NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
 @pytest.mark.parametrize("nkm", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 2)])
-def test_main_reciprocity_non_palindromic_numeric_spec(nkm):
-    # numbers have no index to relabel, so relabeling the backward side
-    # afterwards would leave it unreversed: it is computed on reversed weights
-    spec = W.spec("custom:[2,3,5,7,11]", "custom:[1,4,9,2,6]")
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_main_reciprocity_non_palindromic_numeric_spec(nkm, data):
+    # numbers carry no index, so only reversing the weights themselves
+    # reverses a numeric spec
+    K = nkm[1] + nkm[2] - 1
+    b = data.draw(st.lists(_NONZERO, min_size=K + 1, max_size=K + 1), label="b")
+    lam = data.draw(st.lists(_NONZERO, min_size=K, max_size=K), label="lam")
+    assume(b != b[::-1] or lam != lam[::-1])
+    spec = W.spec(_custom(b), _custom(lam))
+    assume(well_defined(K, spec)[0])
     assert check_main_reciprocity(*nkm, spec).status == "PASS"
 
 
@@ -110,6 +126,38 @@ def test_reversed_spec_reverses_indices():
     assert rev != spec and rev.name != spec.reversed(4).name
     sym = W.symbolic().reversed(3)
     assert sym.b(1) == W.symbolic().b(2) and sym.reversed(3).lam(1) == W.symbolic().lam(1)
+    # reversing twice at one bound is the identity, on symbols and numbers
+    for base in (W.symbolic(), W.spec("custom:[2,3,5,7]", "custom:[1,4,9]")):
+        twice = base.reversed(3).reversed(3)
+        assert [twice.b(i) for i in range(4)] == [base.b(i) for i in range(4)]
+        assert [twice.lam(i) for i in (1, 2, 3)] == [base.lam(i) for i in (1, 2, 3)]
+    # at K = 2k-1, reversing av_lambda swaps A_j <-> V_{k+1-j}: the
+    # weighted-Alt pair of pv_closed_forms is stated on these weights
+    av = W.av_lambda()
+    for k in (1, 2, 3):
+        swap = {}
+        for j in range(1, k + 1):
+            swap[("A", j)] = MultiPoly.variable("V", k + 1 - j)
+            swap[("V", j)] = MultiPoly.variable("A", k + 1 - j)
+        rev = av.reversed(2 * k - 1)
+        for i in range(1, 2 * k):
+            assert rev.lam(i) == av.lam(i).subs(swap), (k, i)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(b=st.lists(_NONZERO, min_size=4, max_size=4), lam=st.lists(_NONZERO, min_size=3, max_size=3))
+def test_reversal_commutes_with_specializing(b, lam):
+    # reversing numbers, then computing, matches computing on reversed
+    # symbols and substituting the numbers afterwards
+    K = 3
+    numeric = W.spec(_custom(b), _custom(lam))
+    assume(well_defined(K, numeric)[0])
+    assign = {("b", i): b[i] for i in range(K + 1)}
+    assign.update({("lam", i): lam[i - 1] for i in range(1, K + 1)})
+    d_sym, vecs_sym = adjugate_vectors(K, W.symbolic().reversed(K), 0, 2)
+    d_num, vecs_num = adjugate_vectors(K, numeric.reversed(K), 0, 2)
+    assert d_sym.subs(assign) == d_num
+    assert [c.subs(assign) for c in vecs_sym[2]] == vecs_num[2]
 
 
 def test_main_reciprocity_skips_ill_defined():
@@ -184,7 +232,7 @@ def test_alt_transfer():
 
 def test_connections_small():
     for n in range(0, 5):
-        for k in range(1, 3):
+        for k in range(1, 5):
             assert check_connection1(n, k).passed, (n, k)
             assert check_connection2(n, k).passed, (n, k)
 
