@@ -13,7 +13,6 @@ timing appears in a trailing comment line of the text format.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -67,11 +66,13 @@ class Report:
         self.columns = list(columns)
         self.fmt = fmt
         if fmt == "json":
+            import json   # the json format only: keeps start-up lean
+            self.dumps = lambda obj: json.dumps(obj, indent=2, sort_keys=True)
             # "results" sorts last: the head is the document up to its "["
             doc = {"command": command,
                    "params": {k: str(v) for k, v in params.items()},
                    "results": []}
-            self.head = json.dumps(doc, indent=2, sort_keys=True)[:-len("]\n}")]
+            self.head = self.dumps(doc)[:-len("]\n}")]
         else:
             self.head = ",".join(self.columns) + "\n" if fmt == "csv" else ""
         self.out = sys.stdout
@@ -83,7 +84,7 @@ class Report:
         if not self.rows:
             self.out.write(self.head)
         if self.fmt == "json":
-            item = json.dumps(dict(zip(self.columns, row)), indent=2, sort_keys=True)
+            item = self.dumps(dict(zip(self.columns, row)))
             self.out.write((",\n    " if self.rows else "\n    ") + item.replace("\n", "\n    "))
         elif self.fmt == "csv":
             self.out.write(",".join(cell.replace(",", ";") for cell in row) + "\n")
@@ -111,6 +112,10 @@ def cmd_moment(args) -> int:
     if not (0 <= args.r <= args.k and 0 <= args.s <= args.k):
         sys.stderr.write(f"error: heights r = {args.r}, s = {args.s} "
                          f"must lie in [0, k = {args.k}]\n")
+        return USAGE_ERROR
+    if not args.negative and ns[0] < 0:
+        sys.stderr.write("error: moment indices start at 0; "
+                         "negative indices need --negative\n")
         return USAGE_ERROR
     report = Report("moment",
                     {"n": args.n, "r": args.r, "s": args.s, "k": args.k,

@@ -141,6 +141,8 @@ def schroeder_paths(n: int, k: Optional[int] = None) -> Iterator[Steps]:
         yield ()
         return
     top = n // 2 if k is None else min(k, n // 2)
+    if top < 0:             # a bound k < 0 admits no path of positive length
+        return
 
     def moves_from(h: int, left: int) -> List[Tuple[str, int, int]]:
         # (step, height, x left) after each step that can still return to 0

@@ -10,7 +10,6 @@ a failing check carries the first differing monomial as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -55,15 +54,26 @@ Value = Union[MultiPoly, RatFunc, int, Fraction]
 _ONE = MultiPoly.const(1)
 
 
-@dataclass
 class IdentityCheck:
-    identity: str
-    params: Dict[str, object]
-    status: str                      # PASS | FAIL | SKIPPED
-    lhs: Optional[Value] = None
-    rhs: Optional[Value] = None
-    witness: Optional[str] = None
-    reason: Optional[str] = None
+    """One verified tuple: status PASS | FAIL | SKIPPED, both sides when
+    computed, the first differing monomial of a FAIL as ``witness`` and
+    the reason of a SKIPPED as ``reason``."""
+    __slots__ = ("identity", "params", "status", "lhs", "rhs", "witness", "reason")
+
+    def __init__(self, identity: str, params: Dict[str, object], status: str,
+                 lhs: Optional[Value] = None, rhs: Optional[Value] = None,
+                 witness: Optional[str] = None, reason: Optional[str] = None):
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.witness = witness
+        self.reason = reason
+
+    def __repr__(self):
+        return (f"IdentityCheck({self.identity!r}, {self.params!r}, {self.status!r}, "
+                f"witness={self.witness!r}, reason={self.reason!r})")
 
     @property
     def passed(self) -> bool:
@@ -96,6 +106,16 @@ def check_values(identity: str, params: Dict[str, object],
 
 def skipped(identity: str, params: Dict[str, object], reason: str) -> IdentityCheck:
     return IdentityCheck(identity, params, "SKIPPED", reason=reason)
+
+
+def _require_negative_index(n: int, k: int, k_min: int) -> None:
+    """The domain of an identity on mu_{-n} whose bound is computed from k:
+    n >= 1 and k >= k_min.  Outside it a ValueError, which ``verify``
+    reports as SKIPPED with the message as the reason."""
+    if n < 1:
+        raise ValueError("negative index n must be >= 1")
+    if k < k_min:
+        raise ValueError(f"needs k >= {k_min}")
 
 
 def _combine(identity: str, params: Dict[str, object],
@@ -178,6 +198,8 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
 def check_theorem15(n: int, k: int, m: int) -> IdentityCheck:
     """Equality of the two Dyck-count grid determinants at odd bound."""
     params = {"n": n, "k": k, "m": m}
+    if min(k, m) < 0 or (n < 0 and k + m):   # both grids are empty at k = m = 0
+        return skipped("thm15", params, "needs n, k, m >= 0")
     spec = zero_one()
     bound = 2 * k + 2 * m - 1
     if k == 0:
@@ -203,6 +225,8 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
     """Row-sum moment grid against the signed grid of alternating-sequence
     counts."""
     params = {"n": n, "k": k, "m": m}
+    if k < 0 or m < 0 < k:   # k = 0, m < 0 keeps its reason from math.comb below
+        return skipped("conj50", params, "needs k, m >= 0")
     K = k + m
     bound = 2 * K - 1
     spec = zero_one()
@@ -494,6 +518,8 @@ def check_alt_transfer_counts(n: int, k: int) -> IdentityCheck:
 def check_alt_cf(k: int, order: int = 8) -> IdentityCheck:
     """Continued-fraction series for bounded alternating-sequence counts."""
     params = {"k": k, "order": order}
+    if k < 0:
+        return skipped("alt-cf", params, "bound k must be nonnegative")
     y = MultiPoly.const((-1) ** k) * MultiPoly.variable("x")
     bs = [MultiPoly.const((-1) ** k)] + \
          [MultiPoly.const((-1) ** (k - i) * 2) for i in range(1, k + 1)]
@@ -513,6 +539,7 @@ def check_alt_cf(k: int, order: int = 8) -> IdentityCheck:
 def check_ck(n: int, k: int) -> IdentityCheck:
     """Negative even Dyck moments as bounded alternating-sequence counts."""
     params = {"n": n, "k": k}
+    _require_negative_index(n, k, 1)
     lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, zero_one())
     rhs = MultiPoly.const(paths.count_alt(2 * n - 1, k))
     return check_values("ck", params, lhs, rhs)
@@ -549,7 +576,10 @@ def check_connection2(n: int, k: int) -> IdentityCheck:
     """Negative moments of the special weights reversed at k,
     ``b_special(k).reversed(k)``, as alternating counts."""
     params = {"n": n, "k": k}
-    d, vecs = adjugate_vectors(k, b_special(k).reversed(k), 0, n)
+    spec = b_special(k).reversed(k)   # b_special rejects k < 0 first
+    if n < 0:
+        return skipped("connection2", params, "n must be nonnegative")
+    d, vecs = adjugate_vectors(k, spec, 0, n)
     lhs = (-1) ** (k * n) * over_power(vecs[n][0], d, n)
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
     return check_values("connection2", params, lhs, rhs)
@@ -642,6 +672,7 @@ def pv_closed_forms(which: str, n: int, k: int,
 
 def check_pv2(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
+    _require_negative_index(n, k, 1)
     sub = []
     lhs, rhs = pv_closed_forms("2PV", n, k)
     sub.append(check_values("pv2", params, lhs, rhs))
@@ -652,12 +683,14 @@ def check_pv2(n: int, k: int) -> IdentityCheck:
 
 def check_pv3a(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
+    _require_negative_index(n, k, 1)
     lhs, rhs = pv_closed_forms("3PV", n, k)
     return check_values("pv3a", params, lhs, rhs)
 
 
 def check_pv3b(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
+    _require_negative_index(n, k, 0)
     lhs, rhs = pv_closed_forms("3PV-modified", n, k)
     return check_values("pv3b", params, lhs, rhs)
 
@@ -797,6 +830,7 @@ def kamioka_moment(p: int, spec: WeightSpec) -> MultiPoly:
 def check_sigma(n: int, k: int) -> IdentityCheck:
     """Backward Schroeder moments: symbolic identity plus count reciprocity."""
     params = {"n": n, "k": k}
+    _require_negative_index(n, k, 0)
     sub = []
     syms = laurent_symbolic()
     sub.append(check_values("sigma", params, sigma_negative(n, k, syms),

@@ -11,7 +11,6 @@ spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,14 +28,26 @@ def _sym_gen(family: str) -> Gen:
     return lambda i: MultiPoly.variable(family, i)
 
 
-@dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Weights b_i (i >= 0) and lam_i (i >= 1) as generators.  Identities
     that compare index-reversed weights take ``reversed(K)``, the package's
-    only index reversal, so numeric weights reverse like symbolic ones."""
-    name: str
-    b: Gen
-    lam: Gen
+    only index reversal, so numeric weights reverse like symbolic ones.
+    A spec is immutable: its attributes cannot be assigned or deleted."""
+    __slots__ = ("name", "b", "lam")
+
+    def __init__(self, name: str, b: Gen, lam: Gen):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "lam", lam)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r} of an immutable WeightSpec")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r} of an immutable WeightSpec")
+
+    def __repr__(self):
+        return f"WeightSpec({self.name!r})"
 
     def __hash__(self):
         return hash(self.name)

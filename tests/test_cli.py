@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from negmom.cli import main
+from negmom.cli import IDENTITIES, main
 
 
 def run_cli(argv, capsys):
@@ -210,6 +210,13 @@ def test_moment_negative_index_below_one_prints_no_table(capsys):
     assert err == "error: negative moment indices start at 1\n"
 
 
+@pytest.mark.parametrize("n", ["-1", "-1..2", "-3..-1"])
+def test_moment_negative_index_without_flag_is_usage_error(n, capsys):
+    code, out, err = run_cli(["moment", f"--n={n}", "--k", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: moment indices start at 0; negative indices need --negative\n"
+
+
 @pytest.mark.parametrize("argv, r, s", [
     (["--n", "1", "--r", "5"], 5, 0),
     (["--n", "1", "--s", "5"], 0, 5),
@@ -221,6 +228,12 @@ def test_moment_height_out_of_range_is_usage_error(argv, r, s, capsys):
     code, out, err = run_cli(["moment", "--k", "3"] + argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: heights r = {r}, s = {s} must lie in [0, k = 3]\n"
+
+
+def test_schroeder_count_below_height_zero(capsys):
+    for n, want in (("3", "0"), ("2", "0"), ("0", "1")):
+        code, out, _ = run_cli(["sequence", "schroeder", "--n", n, "--k", "-1"], capsys)
+        assert code == 0 and data_lines(out) == [want]
 
 
 def test_sequence_count_streams(capsys):
@@ -254,6 +267,31 @@ def test_verify_out_of_domain_tuple_is_skipped(capsys):
     code, out, _ = run_cli(["verify", "ck", "--n", "0", "--k", "1", "--format", "json"],
                            capsys)
     assert json.loads(out)["results"][0]["witness"] == "negative index n must be >= 1"
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_verify_nonpositive_grid_skips_and_never_fails(identity, capsys):
+    # every tuple outside an identity's domain is SKIPPED with its reason
+    code, out, err = run_cli(["verify", identity, "--n=-1..1", "--k=-1..1", "--m=-1..1",
+                              "--format", "json"], capsys)
+    rows = json.loads(out)["results"]
+    assert code == 0 and err == ""
+    assert rows and {r["status"] for r in rows} <= {"PASS", "SKIPPED"}
+    assert all(r["witness"] for r in rows if r["status"] == "SKIPPED")
+
+
+def test_verify_nonpositive_reasons(capsys):
+    def reasons(identity, n, k, m="1"):
+        _, out, _ = run_cli(["verify", identity, f"--n={n}", f"--k={k}", f"--m={m}",
+                             "--format", "json"], capsys)
+        return [r["witness"] for r in json.loads(out)["results"]]
+    assert reasons("ck", "0..1", "0") == ["negative index n must be >= 1", "needs k >= 1"]
+    assert reasons("sigma", "1", "-1") == ["needs k >= 0"]   # was a false FAIL
+    assert reasons("thm15", "-1", "0", "0..1") == ["", "needs n, k, m >= 0"]
+    assert reasons("conj50", "1", "0..1", "-1") == ["n must be a non-negative integer",
+                                                   "needs k, m >= 0"]
+    assert reasons("connection2", "-1", "0..1") == ["n must be nonnegative"] * 2
+    assert reasons("alt-cf", "1", "-1") == ["bound k must be nonnegative"]
 
 
 def test_verify_unexpected_error_has_own_exit_code(capsys, monkeypatch):

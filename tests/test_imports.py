@@ -62,3 +62,20 @@ def test_closed_forms_never_import_paths():
     for name in sorted(CLOSED_FORM):
         outside = set(_package_imports(_tree(name))) - CLOSED_FORM
         assert not outside, f"{name} imports {sorted(outside)}"
+
+
+def test_cli_start_up_imports_stay_lean():
+    # dataclasses drags in inspect, ast, dis and tokenize; json is needed only
+    # by --format json.  A fresh interpreter (-S: no site hooks) sees what
+    # importing the CLI and building its parser pulls in.
+    import os
+    import subprocess
+    import sys
+
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+    code = ("import sys, negmom.cli; negmom.cli.build_parser(); "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

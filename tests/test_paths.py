@@ -250,7 +250,7 @@ def _schroeder_reference(n, k):
 
 def test_schroeder_matches_reference():
     for n in range(0, 9):
-        for k in (None, 0, 1, 2, 3):
+        for k in (None, -1, 0, 1, 2, 3):   # k = -1: only the empty path
             assert list(schroeder_paths(n, k)) == _schroeder_reference(n, k), (n, k)
 
 
