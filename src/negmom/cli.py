@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import paths, reciprocity
 from .moments import (
@@ -103,7 +103,7 @@ class Report:
 
 
 def _build_spec(args) -> WeightSpec:
-    return make_spec(args.b, getattr(args, "lam"))
+    return make_spec(args.b, args.lam)
 
 
 def cmd_moment(args) -> int:
@@ -136,10 +136,7 @@ def cmd_moment(args) -> int:
         for n in ns:
             report.add(n, _render_value(vals[n - 1]))
     else:
-        top = max(ns)
-        seq = {}
-        for i, u in enumerate(moment_vectors(args.k, spec, args.r, top)):
-            seq[i] = u[args.s]
+        seq = [u[args.s] for u in moment_vectors(args.k, spec, args.r, max(ns))]
         for n in ns:
             report.add(n, _render_value(seq[n]))
     report.close()
@@ -169,10 +166,8 @@ def cmd_sequence(args) -> int:
         if args.ell is None:
             sys.stderr.write("error: pv needs --ell\n")
             return USAGE_ERROR
-        r = None if args.r is None else args.r
-        s = None if args.s is None else args.s
         objs = paths.pv_sequences(args.ell, n, args.k,
-                                  modified=args.variant == "modified", r=r, s=s)
+                                  modified=args.variant == "modified", r=args.r, s=args.s)
         enc = paths.encode_seq
         wt = lambda p: paths.wt_seq_v(p).render()
     elif fam == "alt":
@@ -207,112 +202,84 @@ def cmd_sequence(args) -> int:
 
 # -- verify ---------------------------------------------------------------------
 
-def _spec_from_name(name: str) -> WeightSpec:
-    table = {
-        "zero-one": ("zero", "one"),
-        "one-one": ("one", "one"),
-        "symbolic": ("symbolic", "symbolic"),
-    }
-    if name not in table:
-        raise ValueError(f"unknown spec shorthand {name!r}")
-    return make_spec(*table[name])
-
-
-def _verify_tuples(identity: str, args) -> List[Tuple[Tuple, Dict]]:
-    """Sorted parameter tuples for one identity, from the range flags."""
-    ns = _parse_range(args.n) if args.n else [1]
-    ks = _parse_range(args.k) if args.k else [1]
-    ms = _parse_range(args.m) if args.m else [1]
-    rs = _parse_range(args.r) if args.r else None
-    ss = _parse_range(args.s) if args.s else None
-    out = []
-    if identity in ("ck", "pv2", "pv3a", "pv3b", "sigma", "connection1",
-                    "connection2"):
-        for n in ns:
-            for k in ks:
-                out.append(((n, k), {"n": n, "k": k}))
-    elif identity == "ck-rs":
-        for n in ns:
-            for k in ks:
-                for r in (rs or range(1, k + 1)):
-                    for s in (ss or range(1, k + 1)):
-                        out.append(((n, k, r, s), {"n": n, "k": k, "r": r, "s": s}))
-    elif identity == "pv3-rs":
-        for n in ns:
-            for k in ks:
-                for r in (rs or range(0, 3 * k + 1)):
-                    for s in (ss or range(0, 3 * k + 1)):
-                        out.append(((n, k, r, s), {"n": n, "k": k, "r": r, "s": s}))
-    elif identity in ("thm15", "conj50", "conj53", "thm34"):
-        for n in ns:
-            for k in ks:
-                for m in ms:
-                    out.append(((n, k, m), {"n": n, "k": k, "m": m}))
-    elif identity == "main":
-        for n in ns:
-            for k in ks:
-                for m in ms:
-                    out.append(((n, k, m), {"n": n, "k": k, "m": m,
-                                            "spec": args.spec}))
-    elif identity == "rpp":
-        for n in ns:
-            for k in ks:
-                for m in ms:
-                    out.append(((n, m, k), {"n": n, "m": m, "k": k,
-                                            "mode": args.mode}))
-    elif identity in ("usmani", "vv-inv", "alt-cf", "special-dets"):
-        for k in ks:
-            out.append(((k,), {"k": k}))
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
-    out.sort(key=lambda t: t[0])
-    return out
-
-
-_CHECKS = {
-    "ck": lambda p: reciprocity.check_ck(p["n"], p["k"]),
-    "ck-rs": lambda p: reciprocity.check_ck_rs(p["n"], p["k"], p["r"], p["s"]),
-    "thm15": lambda p: reciprocity.check_theorem15(p["n"], p["k"], p["m"]),
-    "main": lambda p: reciprocity.check_main_reciprocity(
-        p["n"], p["k"], p["m"], _spec_from_name(p.get("spec", "symbolic"))),
-    "conj50": lambda p: reciprocity.check_conjecture50(p["n"], p["k"], p["m"]),
-    "conj53": lambda p: reciprocity.check_conjecture53(p["n"], p["k"], p["m"]),
-    "thm34": lambda p: reciprocity.check_theorem34(p["n"], p["k"], p["m"]),
-    "rpp": lambda p: reciprocity.check_rpp_identity(p["n"], p["m"], p["k"],
-                                                    mode=p.get("mode", "symbolic-VA")),
-    "pv2": lambda p: reciprocity.check_pv2(p["n"], p["k"]),
-    "pv3a": lambda p: reciprocity.check_pv3a(p["n"], p["k"]),
-    "pv3b": lambda p: reciprocity.check_pv3b(p["n"], p["k"]),
-    "pv3-rs": lambda p: reciprocity.check_pv3_rs(p["n"], p["k"], p["r"], p["s"]),
-    "usmani": lambda p: reciprocity.check_usmani(p["k"]),
-    "vv-inv": lambda p: reciprocity.check_vv_inverse(p["k"]),
-    "sigma": lambda p: reciprocity.check_sigma(p["n"], p["k"]),
-    "alt-cf": lambda p: reciprocity.check_alt_cf(p["k"]),
-    "special-dets": lambda p: reciprocity.check_special_dets(p["k"]),
-    "connection1": lambda p: reciprocity.check_connection1(p["n"], p["k"]),
-    "connection2": lambda p: reciprocity.check_connection2(p["n"], p["k"]),
+# --spec name -> the (b, lambda) expressions of the main reciprocity's weights
+_SPECS = {
+    "symbolic": ("symbolic", "symbolic"),
+    "zero-one": ("zero", "one"),
+    "one-one": ("one", "one"),
 }
-IDENTITIES = list(_CHECKS)
+
+
+def _late(name: str):
+    """The check ``reciprocity.<name>``, looked up at each call, so that a
+    wrapper bound there after import (the benchmark's tracer) sees it."""
+    return lambda **params: getattr(reciprocity, name)(**params)
+
+
+def _check_main(n: int, k: int, m: int, spec: str = "symbolic") -> reciprocity.IdentityCheck:
+    """The main reciprocity on the weights that ``--spec`` names."""
+    return reciprocity.check_main_reciprocity(n, k, m, make_spec(*_SPECS[spec]))
+
+
+# identity -> (check, parameter names, default --r/--s range at height k).
+# The check takes the parameters by name; their order is the order of the
+# ``params=`` column and the grid's sort key.
+_IDENTITIES = {
+    "ck": (_late("check_ck"), "n k", None),
+    "ck-rs": (_late("check_ck_rs"), "n k r s", lambda k: range(1, k + 1)),
+    "thm15": (_late("check_theorem15"), "n k m", None),
+    "main": (_check_main, "n k m spec", None),
+    "conj50": (_late("check_conjecture50"), "n k m", None),
+    "conj53": (_late("check_conjecture53"), "n k m", None),
+    "thm34": (_late("check_theorem34"), "n k m", None),
+    "rpp": (_late("check_rpp_identity"), "n m k mode", None),
+    "pv2": (_late("check_pv2"), "n k", None),
+    "pv3a": (_late("check_pv3a"), "n k", None),
+    "pv3b": (_late("check_pv3b"), "n k", None),
+    "pv3-rs": (_late("check_pv3_rs"), "n k r s", lambda k: range(0, 3 * k + 1)),
+    "usmani": (_late("check_usmani"), "k", None),
+    "vv-inv": (_late("check_vv_inverse"), "k", None),
+    "sigma": (_late("check_sigma"), "n k", None),
+    "alt-cf": (_late("check_alt_cf"), "k", None),
+    "special-dets": (_late("check_special_dets"), "k", None),
+    "connection1": (_late("check_connection1"), "n k", None),
+    "connection2": (_late("check_connection2"), "n k", None),
+}
+IDENTITIES = list(_IDENTITIES)
+
+
+def _verify_grid(identity: str, args) -> List[Dict[str, object]]:
+    """One identity's parameter tuples from the range flags (n, k, m
+    default to 1), sorted on their values in parameter-name order."""
+    values = {f: _parse_range(getattr(args, f)) if getattr(args, f) else None
+              for f in "nkmrs"}
+    values["spec"], values["mode"] = [args.spec], [args.mode]
+    _, names, rs_range = _IDENTITIES[identity]
+    grid: List[Dict[str, object]] = [{}]
+    for name in names.split():
+        grid = [{**p, name: v} for p in grid
+                for v in values[name] or (rs_range(p["k"]) if name in ("r", "s") else [1])]
+    return sorted(grid, key=lambda p: tuple(p.values()))
 
 
 def run_check(identity: str, params: Dict) -> reciprocity.IdentityCheck:
     """Dispatch one verification tuple (picklable for worker pools)."""
-    if identity not in _CHECKS:
+    if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-    return _CHECKS[identity](params)
+    return _IDENTITIES[identity][0](**params)
 
 
 def _run_one(job):
-    identity, key, params = job
+    identity, params = job
     try:
         check = run_check(identity, params)
     except (IllDefinedError, ValueError) as exc:   # outside the domain
-        return key, params, "SKIPPED", str(exc)
+        return params, "SKIPPED", str(exc)
     except Exception as exc:
         import traceback   # the error path only: keeps start-up lean
         traceback.print_exc()
-        return key, params, "ERROR", f"{type(exc).__name__}: {exc}"
-    return key, params, check.status, check.witness or check.reason
+        return params, "ERROR", f"{type(exc).__name__}: {exc}"
+    return params, check.status, check.witness or check.reason
 
 
 def worker_count(text: Optional[str], cpus: Optional[int]) -> int:
@@ -329,7 +296,7 @@ def worker_count(text: Optional[str], cpus: Optional[int]) -> int:
 def cmd_verify(args) -> int:
     identity = args.identity
     try:
-        tuples = _verify_tuples(identity, args)
+        grid = _verify_grid(identity, args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
@@ -337,7 +304,7 @@ def cmd_verify(args) -> int:
     report = Report("verify", {"identity": identity},   # starts the clock
                     ["identity", "params", "status", "witness"] if as_json else ["line"],
                     args.format)
-    jobs = [(identity, key, params) for key, params in tuples]
+    jobs = [(identity, params) for params in grid]
     workers = worker_count(os.environ.get("NEGMOM_THREADS"), os.cpu_count())
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -345,8 +312,7 @@ def cmd_verify(args) -> int:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
-    for key, params, status, witness in results:
+    for params, status, witness in results:   # map keeps the grid's order
         ptxt = ",".join(f"{k}={v}" for k, v in params.items())
         if as_json:
             report.add(identity, ptxt, status, witness or "")
@@ -358,7 +324,7 @@ def cmd_verify(args) -> int:
             line += f" error={witness}"
         report.add(line)
     report.close()
-    statuses = {r[2] for r in results}
+    statuses = {r[1] for r in results}
     return INTERNAL_ERROR if "ERROR" in statuses else FAIL_ERROR if "FAIL" in statuses else 0
 
 
@@ -388,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--m", help="range a..b")
     p_v.add_argument("--r", help="range a..b")
     p_v.add_argument("--s", help="range a..b")
-    p_v.add_argument("--spec", default="symbolic",
-                     choices=["symbolic", "zero-one", "one-one"],
+    p_v.add_argument("--spec", default="symbolic", choices=list(_SPECS),
                      help="weight spec for the main reciprocity")
     p_v.add_argument("--mode", default="symbolic-VA",
                      choices=["symbolic-VA", "q", "q-unbounded"])

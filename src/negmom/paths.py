@@ -137,11 +137,11 @@ def schroeder_paths(n: int, k: Optional[int] = None) -> Iterator[Steps]:
     if n < 0:
         raise ValueError("n must be nonnegative")
 
+    top = n // 2 if k is None else min(k, n // 2)
+    if top < 0:             # a bound k < 0 excludes the start at height 0
+        return
     if n == 0:
         yield ()
-        return
-    top = n // 2 if k is None else min(k, n // 2)
-    if top < 0:             # a bound k < 0 admits no path of positive length
         return
 
     def moves_from(h: int, left: int) -> List[Tuple[str, int, int]]:

