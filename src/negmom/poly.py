@@ -43,8 +43,8 @@ the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from math import gcd as _int_gcd, lcm as _int_lcm
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 FAMILIES = ("b", "lam", "a", "V", "A", "q", "x")
 _FAMILY_RANK = {fam: r for r, fam in enumerate(FAMILIES)}
@@ -162,28 +162,70 @@ def _decode(key: int) -> Monomial:
     return tuple(sorted((_VARS[s], e) for s, e in _fields(key)))
 
 
-def _ranges(keys: Iterable[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+def _reach(keys: Collection[int]) -> range:
+    """Slots that may be set in some key: none above the largest key's top field."""
+    if not keys:
+        return range(0)
+    return range(min(max(map(abs, keys)).bit_length() // _W + 1, len(_VARS)))
+
+
+def _columns(keys: Collection[int]) -> Dict[int, List[int]]:
+    """Exponent column of every slot that is nonzero in some key."""
+    cols = {}
+    for s in _reach(keys):
+        col = _exponents(keys, s)
+        if any(col):
+            cols[s] = col
+    return cols
+
+
+def _ranges(keys: Collection[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Per-slot minimum and maximum exponent over ``keys`` (absent = 0),
     for every slot that is nonzero in some key."""
-    cols: Dict[int, List[int]] = {}
-    n = 0
-    for n, k in enumerate(keys, 1):
-        for s, e in _fields(k):
-            cols.setdefault(s, []).append(e)
-    for col in cols.values():
-        if len(col) < n:
-            col.append(0)
+    cols = _columns(keys)
     return {s: min(c) for s, c in cols.items()}, {s: max(c) for s, c in cols.items()}
 
 
-def _content(keys: Iterable[int]) -> Tuple[int, int]:
-    """Key of the per-slot minimum exponent (the monomial gcd), and its bound."""
-    lo, _ = _ranges(keys)
-    key = sum(e << (_W * s) for s, e in lo.items())
-    return key, max((abs(e) for e in lo.values()), default=0)
+def _used(keys: Iterable[int]) -> Tuple[bool, int]:
+    """Whether every exponent in ``keys`` is >= 0, and the OR of the keys.
+
+    A negative field reads as ``e + 2**32`` (the field above lends it the
+    borrow), so the lowest negative field of a key has its top bit set,
+    which no field of a true polynomial has.  For a true polynomial the OR
+    is nonzero in exactly the fields some key uses.
+    """
+    acc = 0
+    for k in keys:
+        acc |= k
+    return not (_BIAS and acc & _BIAS[-1]), acc
 
 
-def _product_bound(a: Iterable[int], b: Iterable[int]) -> int:
+def _set_slots(acc: int) -> List[int]:
+    """Slots whose field is nonzero in ``acc``."""
+    return [s for s in range(acc.bit_length() // _W + 1) if (acc >> (_W * s)) & _MASK]
+
+
+def _content(keys: Collection[int]) -> Tuple[int, int]:
+    """Key of the per-slot minimum exponent (the monomial gcd), and its bound.
+
+    In a true polynomial a slot's minimum is 0 as soon as one key lacks
+    the variable, which a short scan usually finds."""
+    true, acc = _used(keys)
+    if not true:
+        lo, _ = _ranges(keys)
+        key = sum(e << (_W * s) for s, e in lo.items())
+        return key, max((abs(e) for e in lo.values()), default=0)
+    key = bound = 0
+    for s in _set_slots(acc):
+        sh = _W * s
+        if all((k >> sh) & _MASK for k in keys):
+            e = min((k >> sh) & _MASK for k in keys)
+            key += e << sh
+            bound = max(bound, e)
+    return key, bound
+
+
+def _product_bound(a: Collection[int], b: Collection[int]) -> int:
     """Exact largest |exponent| of a product of polynomials with these keys.
 
     The extreme exponents of a product are the sums of its factors'
@@ -214,15 +256,9 @@ def _canonical(keys: List[int]) -> Tuple[List[int], List[Tuple[int, ...]], List[
     """
     if not keys:
         return [], [], []
-    reach = max(map(abs, keys)).bit_length() // _W + 1   # no higher slot is set
-    cols = []
-    for s in range(min(reach, len(_VARS))):
-        col = _exponents(keys, s)
-        if any(col):
-            cols.append((_RANK[s], s, col))
+    cols = sorted((_RANK[s], s, col) for s, col in _columns(keys).items())
     if not cols:
         return [], [()] * len(keys), [0] * len(keys)
-    cols.sort()
     top = max(max(max(col), -min(col)) for _, _, col in cols)
     off, width = top + 1, (2 * top + 1).bit_length()
     rows = list(zip(*[col for _, _, col in cols]))
@@ -325,7 +361,8 @@ class MultiPoly:
         return self._terms[0]
 
     def variables(self) -> set:
-        return {_VARS[s] for s in _ranges(self._terms)[0]}
+        true, acc = _used(self._terms)
+        return {_VARS[s] for s in (_set_slots(acc) if true else _ranges(self._terms)[0])}
 
     def _column(self, var: Var) -> Tuple[int, List[int]]:
         """Field shift of ``var`` and its exponent in each term, in ``_terms`` order."""
@@ -640,15 +677,15 @@ def _strip_laurent(p: MultiPoly) -> Tuple[int, int, MultiPoly]:
     return key, kb, p._shifted(-key, kb)
 
 
-def _main_var(p: MultiPoly) -> Var | None:
-    vs = p.variables()
-    return max(vs, key=_var_key) if vs else None
-
-
 def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f / g; raises ExactDivisionError when not exact.
+    """Exact division f / g in the Laurent ring; raises ExactDivisionError
+    when it is not exact.
 
-    Laurent inputs are handled by factoring out monomial units first.
+    The monomial content of both operands is factored out once, here.  What
+    remains is a long division of true polynomials (``_divide``) by a
+    divisor split once (``_Divisor``); its recursion never strips again.
+    With the divisor's monomial content gone, divisibility in the Laurent
+    ring and in the polynomial ring agree, so the quotient is the same.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -660,38 +697,65 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     quot_bound = bound_f + bound_g
     if quot_bound > EXPONENT_LIMIT:
         quot_bound = _product_bound((key_f,), (-key_g,))
-    quot_key = key_f - key_g
-    if gh.is_const():
-        c = gh._terms[0]
-        quo = _wrap({k: _exact_quo(cf, c) for k, cf in fh._terms.items()}, fh._bound)
-        return quo._shifted(quot_key, quot_bound)
-    v = _main_var(gh)
-    sh = _W * _SLOT[v]
-    fu = fh.as_univariate(v)
-    gu = gh.as_univariate(v)
-    dg = max(gu)
-    glead = gu[dg]
-    out = MultiPoly()
-    # univariate long division in v with recursive exact division of leads
+    return _divide(fh, _Divisor(gh))._shifted(key_f - key_g, quot_bound)
+
+
+class _Divisor:
+    """A true polynomial split once for long division by it.
+
+    A constant keeps only its value ``c``.  Otherwise ``var`` is its main
+    variable (the last present one in variable order), ``sh`` that
+    variable's field shift, ``coeffs`` its nonleading coefficients by
+    exponent, ``deg`` its degree and ``lead`` its leading coefficient,
+    split the same way.
+    """
+
+    __slots__ = ("c", "var", "sh", "coeffs", "deg", "lead")
+
+    def __init__(self, g: MultiPoly):
+        terms = g._terms
+        if g.is_const():
+            self.c = terms[0]
+            self.var = None
+            return
+        s = max(_set_slots(_used(terms)[1]), key=_RANK.__getitem__)
+        self.var = _VARS[s]
+        self.sh = _W * s
+        gu = g.as_univariate(self.var)
+        self.deg = max(gu)
+        self.lead = _Divisor(gu.pop(self.deg))
+        self.coeffs = list(gu.items())
+
+
+def _divide(f: MultiPoly, g: _Divisor) -> MultiPoly:
+    """f / g for a true polynomial f: long division in g's main variable,
+    each leading coefficient divided recursively by g's.  Raises
+    ExactDivisionError when g does not divide f in the polynomial ring."""
+    if g.var is None:
+        c = g.c
+        return _wrap({k: _exact_quo(cf, c) for k, cf in f._terms.items()}, f._bound)
+    fu = f.as_univariate(g.var)
+    dg, sh = g.deg, g.sh
+    out: Dict[int, Scalar] = {}
     while fu:
         df = max(fu)
         if df < dg:
             raise ExactDivisionError("division not exact (degree shortfall)")
-        qc = poly_div_exact(fu[df], glead)
-        if qc.is_zero():
-            raise ExactDivisionError("division not exact")
+        qc = _divide(fu.pop(df), g.lead)   # qc * lead cancels the leading coefficient
         shift = df - dg
-        out = out + qc._shifted(shift << sh, shift)
-        # subtract qc * g * v**shift from the running remainder
-        for e, gc in gu.items():
-            delta = qc * gc
-            cur = fu.get(e + shift, MultiPoly())
-            nc = cur - delta
-            if nc.is_zero():
-                fu.pop(e + shift, None)
+        vs = shift << sh
+        # qc is free of the main variable: each step fills distinct keys
+        out.update({k + vs: c for k, c in qc._terms.items()})
+        for e, gc in g.coeffs:
+            t = e + shift
+            cur = fu.get(t)
+            nc = -(qc * gc) if cur is None else cur - qc * gc
+            if nc:
+                fu[t] = nc
             else:
-                fu[e + shift] = nc
-    return out._shifted(quot_key, quot_bound)
+                del fu[t]
+    # a quotient of true polynomials has no larger exponent than the dividend
+    return _wrap(out, f._bound)
 
 
 def _frac_gcd(a_: Fraction, b_: Fraction) -> Fraction:
@@ -727,72 +791,93 @@ def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
 _PROBE_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def _project_univariate(p: MultiPoly, w: Var, point: Dict[Var, int]) -> Dict[int, Fraction]:
-    """Evaluate all variables but w at integer values; {w-exponent: value}."""
-    ws = _SLOT[w]
-    at = {_SLOT[v]: x for v, x in point.items()}
-    out: Dict[int, Fraction] = {}
-    for k, c in p._terms.items():
-        val = c
-        we = 0
-        for s, e in _fields(k):
-            if s == ws:
-                we = e
-            else:
-                val = val * at[s] ** e if e > 0 else val * Fraction(1, at[s] ** -e)
-        if val:
-            out[we] = out.get(we, 0) + val
-    return {e: c for e, c in out.items() if c}
+def _primitive(p: Dict[int, int]) -> Dict[int, int]:
+    """Integer coefficients by exponent, their gcd divided out."""
+    g = _int_gcd(*p.values())
+    return {e: c // g for e, c in p.items()} if g > 1 else p
 
 
-def _univ_gcd_degree(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> int:
-    """Degree of gcd of two univariate polynomials over the rationals."""
-    fa = dict(a)
-    fb = dict(b)
+def _integral(p: Dict[int, Scalar]) -> Dict[int, int]:
+    """A primitive integer multiple of a polynomial over the rationals."""
+    den = _int_lcm(*(c.denominator for c in p.values()))
+    return _primitive({e: c.numerator * (den // c.denominator) for e, c in p.items()})
+
+
+def _univ_gcd_degree(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> int:
+    """Degree of gcd of two univariate polynomials over the rationals: a
+    primitive remainder sequence over the integers, denominators cleared."""
+    fa, fb = _integral(a), _integral(b)
     while fb:
         db = max(fb)
         lb = fb[db]
         while fa and max(fa) >= db:
             da = max(fa)
-            ratio = Fraction(fa[da], 1) / lb
+            g = _int_gcd(fa[da], lb)
+            ma, mb = lb // g, fa[da] // g
+            fa = {e: ma * c for e, c in fa.items()}
             for e, c in fb.items():
                 t = e + da - db
-                nc = fa.get(t, 0) - ratio * c
+                nc = fa.get(t, 0) - mb * c
                 if nc:
                     fa[t] = nc
                 else:
                     fa.pop(t, None)
-            fa.pop(da, None)
-        fa, fb = fb, fa
+        fa, fb = fb, _primitive(fa)
     return max(fa) if fa else 0
 
 
+def _probe_values(cols: Dict[int, List[int]], n: int, point: Dict[int, int]) -> List[int]:
+    """Each term's monomial evaluated at the integer ``point`` (slot -> value)."""
+    vals = [1] * n
+    for s, col in cols.items():
+        x = point[s]
+        pw = {e: x ** e for e in set(col)}
+        vals = [v * pw[e] for v, e in zip(vals, col)]
+    return vals
+
+
+def _project(coeffs: List[Scalar], vals: List[int], col: List[int], x: int) -> Dict[int, Scalar]:
+    """{w-exponent: value} of a polynomial with every variable but w at the
+    probe point: each term's value with w's factor ``x**e`` divided back out."""
+    pw = {e: x ** e for e in set(col)}
+    out: Dict[int, Scalar] = {}
+    for c, v, e in zip(coeffs, vals, col):
+        out[e] = out.get(e, 0) + c * (v // pw[e])
+    return {e: c for e, c in out.items() if c}
+
+
 def _gcd_probe_constant(f: MultiPoly, g: MultiPoly, common: set) -> bool:
-    """Sound certificate that gcd(f, g) is constant.
+    """Sound certificate that gcd(f, g) is constant, for true polynomials.
 
     For each common variable w, the w-degree of the true gcd is bounded
-    by the gcd degree of random integer projections; if some projection
-    is coprime for every w, the gcd has degree 0 everywhere.
+    by the gcd degree of integer projections (every other variable set to
+    a probe point) that keep both w-degrees; if some projection is coprime
+    for every w, the gcd has degree 0 everywhere.  Each operand is decoded
+    once, into one exponent column per variable.  At each probe point a
+    term's value over all variables is computed once; its projection onto
+    w divides w's factor back out.  The columns and values serve every
+    variable and attempt, and are dropped on return.
     """
-    allvars = sorted(f.variables() | g.variables(), key=_var_key)
-    for w in sorted(common, key=_var_key):
-        settled = False
-        for attempt in range(3):
-            point = {v: _PROBE_POINTS[(i + 5 * attempt) % len(_PROBE_POINTS)]
-                     for i, v in enumerate(allvars)}
-            fp = _project_univariate(f, w, point)
-            gp = _project_univariate(g, w, point)
-            if not fp or not gp:
-                continue
-            # projection degree drops make the bound inconclusive
-            if max(fp) != f.degree(w) or max(gp) != g.degree(w):
-                continue
-            if _univ_gcd_degree(fp, gp) == 0:
-                settled = True
-                break
-        if not settled:
-            return False
-    return True
+    ops = [(list(p._terms.values()), _columns(p._terms), {}) for p in (f, g)]
+    slots = sorted(ops[0][1].keys() | ops[1][1].keys(), key=_RANK.__getitem__)
+    points = [{s: _PROBE_POINTS[(i + 5 * attempt) % len(_PROBE_POINTS)]
+               for i, s in enumerate(slots)} for attempt in range(3)]
+
+    def settles(ws: int, attempt: int) -> bool:
+        proj = []
+        for coeffs, cols, values in ops:
+            vals = values.get(attempt)
+            if vals is None:
+                vals = values[attempt] = _probe_values(cols, len(coeffs), points[attempt])
+            p = _project(coeffs, vals, cols[ws], points[attempt][ws])
+            # a projection that drops the w-degree makes the bound inconclusive
+            if not p or max(p) != max(cols[ws]):
+                return False
+            proj.append(p)
+        return _univ_gcd_degree(*proj) == 0
+
+    return all(any(settles(_SLOT[w], attempt) for attempt in range(3))
+               for w in sorted(common, key=_var_key))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -878,7 +963,7 @@ def _cheap_strip(r: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
         cont = _frac_gcd(cont, p.rational_content())
         if cont == 1:
             break
-    key, kb = _content(k for p in polys for k in p._terms)
+    key, kb = _content([k for p in polys for k in p._terms])
     out = r
     if cont not in (0, 1):
         inv = Fraction(1) / cont

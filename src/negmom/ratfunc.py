@@ -35,11 +35,17 @@ def _as_poly(p: PolyLike) -> MultiPoly:
 
 
 class RatFunc:
-    """num/den with gcd-reduced, canonically normalized denominator."""
+    """num/den with gcd-reduced, canonically normalized denominator.
+
+    ``reduce=False`` keeps the pair as built.  ``coprime=True`` is the
+    caller's word that gcd(num, den) is constant: den's monomial content
+    is still absorbed and the pair normalized, but no gcd is computed.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyLike, den: PolyLike = 1, reduce: bool = True):
+    def __init__(self, num: PolyLike, den: PolyLike = 1, reduce: bool = True,
+                 coprime: bool = False):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero():
@@ -56,7 +62,7 @@ class RatFunc:
             if mono_d:
                 num = num.shift_monomial(mono_d, -1)
                 den = den.shift_monomial(mono_d, -1)
-            g = poly_gcd(num, den)
+            g = MultiPoly.const(1) if coprime else poly_gcd(num, den)
             if not g.is_const() or g.as_fraction() != 1:
                 num = poly_div_exact(num, g)
                 den = poly_div_exact(den, g)
@@ -204,8 +210,10 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
     """num / d**e in lowest terms: a MultiPoly when the quotient is
     polynomial, a reduced RatFunc otherwise.
 
-    Factors of d are stripped from num by trial exact division before the
-    one RatFunc is built; a gcd against a power of d would run the full PRS.
+    Factors of d are stripped from num by trial exact division.  When a
+    division fails, coprimality is tested against d itself, not against
+    the power left: if gcd(num, d) is constant so is gcd(num, d**e), and
+    the RatFunc is built without a gcd.  Otherwise it is reduced as usual.
     """
     if d.is_term():
         return num * d.unit_inverse() ** e
@@ -213,7 +221,7 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
         try:
             num = poly_div_exact(num, d)
         except ExactDivisionError:
-            return RatFunc(num, d ** e)
+            return RatFunc(num, d ** e, coprime=poly_gcd(num, d).is_const())
         e -= 1
     return num
 

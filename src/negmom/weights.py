@@ -219,7 +219,11 @@ def parse_gen(expr: str, family: str) -> Gen:
         return fn
     if expr.startswith("custom:[") and expr.endswith("]"):
         body = expr[len("custom:["):-1]
-        vals: Sequence[Fraction] = tuple(Fraction(tok) for tok in body.split(",") if tok.strip())
+        try:
+            vals: Sequence[Fraction] = tuple(Fraction(tok) for tok in body.split(",")
+                                             if tok.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {expr!r}") from None
         sym = _sym_gen(family)
         lo = 1 if family in ("lam", "a") else 0
 

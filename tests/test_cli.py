@@ -259,6 +259,15 @@ def test_moment_negative_huge_weight_stays_exact(capsys):
     assert str(10 ** 400) in out
 
 
+@pytest.mark.parametrize("weights", [["--b", "custom:[1/0]", "--lambda", "one"],
+                                     ["--b", "one", "--lambda", "custom:[2,1/0]"],
+                                     ["--b", "custom:[nan]", "--lambda", "one"]])
+def test_custom_weight_without_a_value_is_usage_error(weights, capsys):
+    code, out, err = run_cli(["moment", "--n", "0..2", "--k", "2"] + weights, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_out_of_domain_tuple_is_skipped(capsys):
     code, out, _ = run_cli(["verify", "ck", "--n", "0..2", "--k", "1..2"], capsys)
     assert code == 0

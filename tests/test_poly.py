@@ -280,6 +280,97 @@ def test_gcd_agrees_with_sympy(f, g, h):
         assert len(sympy.Poly(part, *names.values()).terms()) == 1
 
 
+# -- exact division and the gcd probe against sympy -----------------------------------
+
+# b0 < b1 < lam1 < x in variable order, so x is a divisor's main variable
+TOWER = (P.b(0), P.b(1), P.lam(1), P.x())
+
+
+def _tower_poly(terms):
+    out = MultiPoly.zero()
+    for exps, c in terms.items():
+        term = MultiPoly.const(c)
+        for v, e in zip(TOWER, exps):
+            term = term * v ** e
+        out = out + term
+    return out
+
+
+def tower_polys(n_vars=4):
+    """Small true polynomials in the first ``n_vars`` variables of TOWER."""
+    exps = st.tuples(*[st.integers(0, 2)] * n_vars + [st.just(0)] * (4 - n_vars))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(_tower_poly)
+
+
+@st.composite
+def nested_divisors(draw):
+    """c + b0*low + x^a * (mid + lam1^j * b0^k * (1 + b1*u)): a nonzero
+    constant term, so no monomial content at the top, while the leading
+    coefficient of the leading coefficient carries b0^k, two levels down."""
+    b0, b1, lam1, x = TOWER
+    c = draw(st.sampled_from([-2, -1, 1, 3]))
+    low, mid, u = draw(tower_polys(3)), draw(tower_polys(2)), draw(tower_polys(1))
+    a, j, k = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    return c + b0 * low + x ** a * (mid + lam1 ** j * b0 ** k * (1 + b1 * u))
+
+
+def _sympy_of(*polys):
+    """sympy, the polys as sympy expressions, and TOWER's symbols."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("b0 b1 lam1 x")
+    names = {str(s): s for s in gens}
+    return sympy, [sympy.parse_expr(p.render().replace("^", "**"), local_dict=names)
+                   for p in polys], gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_polys(), nested_divisors(), tower_polys(),
+       st.sampled_from([(), ((("b", 0), 1),), ((("b", 1), 1), (("lam", 1), 2))]))
+@example(P.b(1) + P.x(), 1 + P.x() * P.lam(1) * P.b(0) * (1 + P.b(1)), MultiPoly.zero(), ())
+@example(MultiPoly.const(1), 1 + P.x() * P.lam(1) * P.b(0) ** 2 * (1 + P.b(1)), P.b(0), ())
+def test_div_exact_agrees_with_sympy(q_, g, r, content):
+    """poly_div_exact on true polynomials: the quotient sympy finds when its
+    remainder is zero (the divisor alone is a Groebner basis of its ideal),
+    ExactDivisionError otherwise."""
+    f = (g * q_ + r).shift_monomial(content)
+    sympy, (F, G), gens = _sympy_of(f, g)
+    quo, rem = sympy.div(F, G, *gens, domain="QQ")
+    if rem != 0:
+        with pytest.raises(ExactDivisionError):
+            poly_div_exact(f, g)
+    else:
+        _, (got,), _ = _sympy_of(poly_div_exact(f, g))
+        assert sympy.expand(got - quo) == 0
+
+
+@st.composite
+def probe_pairs(draw):
+    """Two small true polynomials, half of them sharing a nonconstant factor."""
+    f, g = draw(tower_polys()), draw(tower_polys())
+    if draw(st.booleans()):
+        h = draw(tower_polys().filter(lambda h: not h.is_const()))
+        f, g = f * h, g * h
+    return f, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(probe_pairs())
+@example(((1 + P.b(0)) * (2 + P.b(1)), (1 + P.b(0)) * (1 + P.b(1))))
+@example((P.b(0) * (1 + P.b(1)), P.b(0) * (2 + P.lam(1))))   # a shared monomial
+# the shared h = (b0 - 3)(b1 - 5) + 1 projects to 1 at the first probe point
+# (b0, b1) = (3, 5) in either variable, so only the degree check stops a false certificate
+@example((((P.b(0) - 3) * (P.b(1) - 5) + 1) * (1 + P.b(0)),
+          ((P.b(0) - 3) * (P.b(1) - 5) + 1) * (2 + P.b(1))))
+def test_gcd_probe_is_sound(pair):
+    """Whenever the probe certifies gcd(f, g) constant, sympy agrees."""
+    f, g = pair
+    common = f.variables() & g.variables()
+    assume(not f.is_zero() and not g.is_zero() and common)
+    if P._gcd_probe_constant(f, g, common):
+        sympy, (F, G), gens = _sympy_of(f, g)
+        assert sympy.Poly(sympy.gcd(F, G), *gens).is_ground
+
+
 LIMIT = P.EXPONENT_LIMIT
 
 

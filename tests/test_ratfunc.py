@@ -15,6 +15,7 @@ from negmom.ratfunc import (
     ReversalError,
     cf_eval,
     double_reversal,
+    over_power,
     reverse_gf,
     series_expand,
     x_coeffs,
@@ -96,6 +97,40 @@ _b_polys = st.dictionaries(_b_monos, st.integers(-4, 4), max_size=3).map(
                   MultiPoly.zero()))
 _x_polys = st.lists(_b_polys, min_size=1, max_size=3).map(
     lambda cs: sum((c * X ** e for e, c in enumerate(cs)), MultiPoly.zero()))
+
+
+def _assert_reduced_like_ratfunc(got, num, d, e):
+    """over_power(num, d, e) is RatFunc(num, d**e) term for term, or the
+    polynomial that RatFunc reduces to."""
+    want = RatFunc(num, d ** e)
+    if isinstance(got, MultiPoly):
+        assert want.is_poly() and got == want.num
+    else:
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_over_power_reduces_a_proper_shared_factor():
+    # num shares 1 + b0 with d, so dividing by d fails though num and d
+    # are not coprime: the result is still reduced, not num / d^2 as built
+    b0, b1 = P.b(0), P.b(1)
+    d, num = (1 + b0) * (1 + b1), (1 + b0) * (2 + b1)
+    got = over_power(num, d, 2)
+    _assert_reduced_like_ratfunc(got, num, d, 2)
+    assert got.den == (1 + b0) * (1 + b1) ** 2
+
+
+_linear = st.builds(lambda c, k, v: c + k * v, st.integers(1, 3), st.sampled_from([-2, -1, 1, 2]),
+                    st.sampled_from([P.b(0), P.b(1), P.lam(1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear, _linear, _linear, _b_polys, st.sampled_from([1, P.b(0), P.lam(1) ** 2]),
+       st.integers(1, 3))
+def test_over_power_matches_reduced_ratfunc(p, s, t, extra, mono, e):
+    """d = p*s and num = p*t*extra share the factor p; d may carry a monomial."""
+    assume(not extra.is_zero())
+    d, num = p * s * mono, p * t * extra
+    _assert_reduced_like_ratfunc(over_power(num, d, e), num, d, e)
 
 
 @settings(max_examples=25, deadline=None)
