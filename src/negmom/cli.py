@@ -154,14 +154,11 @@ def cmd_sequence(args) -> int:
     if fam == "motzkin":
         objs = paths.motzkin_paths(n, args.r or 0, args.s or 0, args.k)
         enc = paths.encode_motzkin
-        wt = lambda p: paths.wt_motzkin(p, make_spec("symbolic", "symbolic"),
-                                        args.r or 0).render()
+        factors = lambda p: paths.motzkin_factors(p, args.r or 0)
     elif fam == "schroeder":
-        from .weights import laurent_symbolic
         objs = paths.schroeder_paths(n, args.k)
         enc = paths.encode_schroeder
-        ls = laurent_symbolic()
-        wt = lambda p: paths.wt_schroeder(p, ls.b, ls.a).render()
+        factors = paths.schroeder_factors
     elif fam == "pv":
         if args.ell is None:
             sys.stderr.write("error: pv needs --ell\n")
@@ -169,7 +166,7 @@ def cmd_sequence(args) -> int:
         objs = paths.pv_sequences(args.ell, n, args.k,
                                   modified=args.variant == "modified", r=args.r, s=args.s)
         enc = paths.encode_seq
-        wt = lambda p: paths.wt_seq_v(p).render()
+        factors = paths.seq_v_factors
     elif fam == "alt":
         endpoints = None
         if args.r is not None and args.s is not None:
@@ -177,14 +174,14 @@ def cmd_sequence(args) -> int:
         objs = paths.alt_sequences(n, args.k, down_first=args.pattern == "down-first",
                                    endpoints=endpoints)
         enc = paths.encode_seq
-        wt = lambda p: paths.wt_seq_av(p).render() if len(p) % 2 else paths.wt_seq_v(p).render()
+        factors = lambda p: (paths.seq_av_factors if len(p) % 2 else paths.seq_v_factors)(p)
     elif fam == "rpp":
         if args.m is None:
             sys.stderr.write("error: rpp needs --m\n")
             return USAGE_ERROR
         objs = paths.rpp_fillings(n, args.m, args.k)
         enc = lambda T: paths.encode_rpp(T, n, args.m)
-        wt = lambda T: paths.wt_rpp(T, n).render()
+        factors = lambda T: paths.rpp_factors(T, n)
     else:
         sys.stderr.write(f"error: unknown family {fam!r}\n")
         return USAGE_ERROR
@@ -195,7 +192,7 @@ def cmd_sequence(args) -> int:
             report.add(enc(o))
     else:
         for o in objs:
-            report.add(enc(o), wt(o))
+            report.add(enc(o), paths.weight_sum((o,), factors).render())
     report.close()
     return 0
 
@@ -244,6 +241,8 @@ _IDENTITIES = {
     "special-dets": (_late("check_special_dets"), "k", None),
     "connection1": (_late("check_connection1"), "n k", None),
     "connection2": (_late("check_connection2"), "n k", None),
+    "dyck-motzkin": (_late("check_dyck_motzkin_connection"), "n k", None),
+    "alt-transfer": (_late("check_alt_transfer_counts"), "n k", None),
 }
 IDENTITIES = list(_IDENTITIES)
 

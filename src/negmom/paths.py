@@ -11,6 +11,13 @@ at a time, in a fixed order, building each object once, at its leaf of the
 search.  Counting or summing over a family therefore holds one object at a
 time; a caller that needs the objects twice wraps the result in ``list()``.
 
+Weights have one representation.  An object's weight is a list of
+``(family, index)`` factors, one per weighted step, entry or cell, from
+the family's ``*_factors`` function; ``weight_sum`` is the only place
+factors become a ``MultiPoly``.  By default a factor ``(f, i)`` is the
+variable ``f_i``; a caller that weights by a ``WeightSpec`` passes a
+``value`` reading ``spec.b``/``spec.lam`` (or ``.a``) at the index.
+
 Canonical encodings: Motzkin paths as "UHD..." strings, Schroeder paths
 as "U,H2,D" strings, integer sequences as "(a1,...,an)", reverse plane
 partitions as row-major grids with a shape header.
@@ -19,12 +26,14 @@ partitions as row-major grids with a shape header.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .poly import MultiPoly
+from .poly import MultiPoly, poly_sum
 
 Steps = Tuple[str, ...]
 Seq = Tuple[int, ...]
+Factor = Tuple[str, int]                # (family, index): one factor of a weight
 
 _END = object()                         # end-of-iterator sentinel for next()
 
@@ -64,6 +73,37 @@ def count(objects: Iterable) -> int:
     return sum(1 for _ in objects)
 
 
+def _variable(factor: Factor) -> MultiPoly:
+    return MultiPoly.variable(*factor)
+
+
+def weight_sum(objects: Iterable, factors: Callable[..., Iterable],
+               value: Callable[..., MultiPoly] = _variable) -> MultiPoly:
+    """The sum over ``objects`` of the product of ``value(f)`` over each
+    object's ``factors(obj)``; an object without factors weighs 1.
+
+    Objects are counted by their sorted factor tuple, so each distinct
+    multiset is multiplied out once, times its count, with ``value``
+    called once per distinct factor; the products are added into one term
+    dict.  Holds one object at a time."""
+    counts: Dict[tuple, int] = {}
+    get = counts.get
+    for obj in objects:
+        key = tuple(sorted(factors(obj)))
+        counts[key] = get(key, 0) + 1
+    values: Dict = {}
+
+    def product(key: tuple, times: int) -> MultiPoly:
+        w = MultiPoly.const(times)
+        for f, run in groupby(key):
+            if f not in values:
+                values[f] = value(f)
+            w = w * values[f] ** sum(1 for _ in run)
+        return w
+
+    return poly_sum(product(key, times) for key, times in counts.items())
+
+
 # -- Motzkin paths ------------------------------------------------------------
 
 _MOVES = (("U", 1), ("H", 0), ("D", -1))
@@ -94,36 +134,19 @@ def motzkin_paths(n: int, r: int = 0, s: int = 0,
         yield from _words(n, options)
 
 
-def motzkin_heights(steps: Steps, r: int = 0) -> List[int]:
-    hs = [r]
-    for st in steps:
-        hs.append(hs[-1] + _DH[st])
-    return hs
-
-def wt_motzkin(steps: Steps, spec, r: int = 0) -> MultiPoly:
-    """Product of b_i per H-step at height i and lam_i per D-step from height i."""
-    w = MultiPoly.const(1)
+def motzkin_factors(steps: Steps, r: int = 0) -> List[Factor]:
+    """(b, i) per H-step at height i and (lam, i) per D-step from height i."""
+    out = []
     h = r
     for st in steps:
         if st == "H":
-            w = w * spec.b(h)
+            out.append(("b", h))
         elif st == "U":
             h += 1
         else:
-            w = w * spec.lam(h)
+            out.append(("lam", h))
             h -= 1
-    return w
-
-
-def pwt_motzkin(steps: Steps, r: int = 0,
-                b_fn: Optional[Callable[[int], MultiPoly]] = None) -> MultiPoly:
-    """Point weight: product of b_j over every lattice point (i, j) of the path."""
-    if b_fn is None:
-        b_fn = lambda i: MultiPoly.variable("b", i)
-    w = MultiPoly.const(1)
-    for h in motzkin_heights(steps, r):
-        w = w * b_fn(h)
-    return w
+    return out
 
 
 def encode_motzkin(steps: Steps) -> str:
@@ -174,19 +197,19 @@ def schroeder_paths(n: int, k: Optional[int] = None) -> Iterator[Steps]:
             stack.append(iter(moves[h][left]))
 
 
-def wt_schroeder(steps: Steps, b_fn, a_fn) -> MultiPoly:
-    """Product of b_i per H2-step at height i and a_i per D-step from height i."""
-    w = MultiPoly.const(1)
+def schroeder_factors(steps: Steps) -> List[Factor]:
+    """(b, i) per H2-step at height i and (a, i) per D-step from height i."""
+    out = []
     h = 0
     for st in steps:
         if st == "H2":
-            w = w * b_fn(h)
+            out.append(("b", h))
         elif st == "U":
             h += 1
         else:
-            w = w * a_fn(h)
+            out.append(("a", h))
             h -= 1
-    return w
+    return out
 
 
 def encode_schroeder(steps: Steps) -> str:
@@ -359,23 +382,16 @@ def alt_to_pv(seq: Seq, k: int) -> Seq:
 
 # -- sequence weights ---------------------------------------------------------------
 
-def wt_seq_v(seq: Seq) -> MultiPoly:
-    """Product of V_{a_i} over all entries."""
-    w = MultiPoly.const(1)
-    for v in seq:
-        w = w * MultiPoly.variable("V", v)
-    return w
+def seq_v_factors(seq: Seq) -> List[Factor]:
+    """(V, a_i) for every entry."""
+    return [("V", v) for v in seq]
 
 
-def wt_seq_av(seq: Seq) -> MultiPoly:
-    """V on odd positions, A on even positions; length must be odd."""
+def seq_av_factors(seq: Seq) -> List[Factor]:
+    """(V, a_i) on odd positions, (A, a_i) on even ones; length must be odd."""
     if len(seq) % 2 == 0:
         raise ValueError("alternating V/A weight needs odd length")
-    w = MultiPoly.const(1)
-    for pos, v in enumerate(seq, start=1):
-        fam = "V" if pos % 2 == 1 else "A"
-        w = w * MultiPoly.variable(fam, v)
-    return w
+    return [("A" if pos % 2 else "V", v) for pos, v in enumerate(seq)]
 
 
 def encode_seq(seq: Seq) -> str:
@@ -432,15 +448,10 @@ def rpp_total(filling: Dict[Tuple[int, int], int]) -> int:
     return sum(filling.values())
 
 
-def wt_rpp(filling: Dict[Tuple[int, int], int], n: int) -> MultiPoly:
-    """Cell weight A or V (by parity of i+j-n) at index T(i,j)+floor((i+j-n+1)/2)."""
-    w = MultiPoly.const(1)
-    for (i, j), v in sorted(filling.items()):
-        d = i + j - n
-        idx = v + (d + 1) // 2
-        fam = "A" if d % 2 == 1 else "V"
-        w = w * MultiPoly.variable(fam, idx)
-    return w
+def rpp_factors(filling: Dict[Tuple[int, int], int], n: int) -> List[Factor]:
+    """Per cell (A or V by the parity of d = i+j-n, index entry + floor((d+1)/2))."""
+    return [("A" if (i + j - n) % 2 else "V", v + (i + j - n + 1) // 2)
+            for (i, j), v in filling.items()]
 
 
 def rpp_transpose(filling: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:

@@ -538,9 +538,8 @@ class MultiPoly:
         """
         vals = {_slot(v): (x if isinstance(x, MultiPoly) else MultiPoly.const(x))
                 for v, x in assignment.items()}
-        out: Dict[int, Scalar] = {}
-        bound = 0
-        for k, c in self._terms.items():
+
+        def term(k: int, c: Scalar) -> MultiPoly:
             factor = MultiPoly.const(c)
             rest = k
             for s, e in _fields(k):
@@ -549,15 +548,9 @@ class MultiPoly:
                     continue
                 rest -= e << (_W * s)
                 factor = factor * val ** e   # e < 0 inverts a unit or raises
-            term = factor._shifted(rest, self._bound)
-            for tk, tc in term._terms.items():   # one running dict: linear
-                nc = out.get(tk, 0) + tc
-                if nc:
-                    out[tk] = nc
-                else:
-                    del out[tk]
-            bound = max(bound, term._bound)
-        return _wrap(out, bound)
+            return factor._shifted(rest, self._bound)
+
+        return poly_sum(term(k, c) for k, c in self._terms.items())
 
     # -- Laurent normalization ----------------------------------------------
 
@@ -624,6 +617,24 @@ def _wrap(terms: Dict[int, Scalar], bound: int) -> MultiPoly:
     res._terms = terms
     res._bound = bound
     return res
+
+
+def poly_sum(polys: Iterable[MultiPoly]) -> MultiPoly:
+    """The sum of ``polys``, added into one running term dict: linear in
+    their terms, where a chain of ``+`` copies every partial sum."""
+    out: Dict[int, Scalar] = {}
+    get = out.get
+    bound = 0
+    for p in polys:
+        for k, c in p._terms.items():
+            nc = get(k, 0) + c
+            if nc:
+                out[k] = nc
+            else:
+                del out[k]
+        if p._bound > bound:
+            bound = p._bound
+    return _wrap(out, bound)
 
 
 def _exact_quo(a_: Scalar, b_: Scalar) -> Scalar:

@@ -31,7 +31,7 @@ from .moments import (
     v_inverse_closed_form,
     well_defined,
 )
-from .poly import Q_VAR, MultiPoly
+from .poly import Q_VAR, MultiPoly, poly_sum
 from .ratfunc import RatFunc, cf_eval, over_power, series_expand
 from .weights import (
     WeightSpec,
@@ -234,18 +234,13 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
         lhs: Value = _ONE
     else:
         n_max = max(n + 2 * (k - 1) + 2 * m - 1, 0)
-        sums: List[Value] = []
-        for u in moment_vectors(bound, spec, 0, n_max):
-            acc = MultiPoly.zero()
-            for c in u:
-                acc = acc + c
-            sums.append(acc)
+        sums: List[Value] = [poly_sum(u) for u in moment_vectors(bound, spec, 0, n_max)]
         neg_sums: List[Value] = [sums[0]]
         if n + 2 * m - 1 < 0:
             # the (n, m) = (0, 0) corner reaches one step backwards
             det, vecs = adjugate_vectors(bound, spec, 0, -(n + 2 * m - 1))
             for t, u in enumerate(vecs[1:], 1):
-                neg_sums.append(over_power(sum(u, MultiPoly.zero()), det, t))
+                neg_sums.append(over_power(poly_sum(u), det, t))
         ext = lambda j: sums[j] if j >= 0 else neg_sums[-j]
         rows = [[ext(n + i + j + 2 * m - 1) for j in range(k)] for i in range(k)]
         lhs = determinant(Matrix(rows))
@@ -267,7 +262,6 @@ def check_conjecture53(n: int, k: int, m: int) -> IdentityCheck:
     if n < 1 or k < 1 or m < 1:
         return skipped("conj53", params, "needs positive n, k, m")
     spec = one_one()
-    bound = k + m - 1
     lhs = det_moment_grid("positive", n, k, m, spec)
     rhs = det_moment_grid("negative", n, k, m, spec)
     sign = (-1) ** (n * ((k + m) // 3))
@@ -300,6 +294,8 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
 def check_dyck_motzkin_connection(n: int, k: int) -> IdentityCheck:
     """Even Dyck moments as Motzkin moments of the paired-index weights."""
     params = {"n": n, "k": k}
+    if n < 0 or k < 1:
+        return skipped("dyck-motzkin", params, "needs n >= 0, k >= 1")
     spec = make_spec("zero", "symbolic")
     lhs = bounded_moment(2 * n, 0, 0, 2 * k - 1, spec)
     mid = bounded_moment(n, 0, 0, k - 1, doubled_even())
@@ -317,20 +313,6 @@ def check_dyck_motzkin_connection(n: int, k: int) -> IdentityCheck:
 
 
 # -- reverse plane partitions --------------------------------------------------------
-
-def _rpp_weight_sum(n: int, m: int, k: int) -> MultiPoly:
-    total = MultiPoly.zero()
-    for filling in paths.rpp_fillings(n, m, k):
-        total = total + paths.wt_rpp(filling, n)
-    return total
-
-
-def _alt_av_sum(length: int, bound: int) -> MultiPoly:
-    total = MultiPoly.zero()
-    for seq in paths.alt_sequences(length, bound, down_first=True):
-        total = total + paths.wt_seq_av(seq)
-    return total
-
 
 def rpp_prefactor_exponent(n: int, m: int) -> int:
     num = m * (m + 1) * (6 * n + 8 * m - 5)
@@ -377,6 +359,15 @@ def _alt_q_series(length: int, bound: int, trunc: int) -> List[int]:
     return out
 
 
+def _q_power(t: int) -> MultiPoly:
+    return MultiPoly.variable("q", exp=t)
+
+
+def _q_series(coeffs: List[int]) -> MultiPoly:
+    """sum_t coeffs[t] q^t."""
+    return MultiPoly({((Q_VAR, t),): c for t, c in enumerate(coeffs)})
+
+
 def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
                        trunc: int = 8) -> IdentityCheck:
     """Bounded reverse-plane-partition sums against alternating-sequence
@@ -384,29 +375,18 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
     params = {"n": n, "m": m, "k": k, "mode": mode}
     if m < 1 or n < 0 or k < 0:
         return skipped("rpp", params, "needs m >= 1, n >= 0, k >= 0")
+    seqs = lambda i, j: paths.alt_sequences(2 * n + 2 * i + 2 * j + 1, k + m, down_first=True)
     if mode == "symbolic-VA":
-        lhs = _rpp_weight_sum(n, m, k)
-        rows = [[_alt_av_sum(2 * n + 2 * i + 2 * j + 1, k + m) for j in range(m)]
+        lhs = paths.weight_sum(paths.rpp_fillings(n, m, k), lambda T: paths.rpp_factors(T, n))
+        rows = [[paths.weight_sum(seqs(i, j), paths.seq_av_factors) for j in range(m)]
                 for i in range(m)]
-        rhs = determinant(Matrix(rows))
-        return check_values("rpp", params, lhs, rhs)
-    if mode == "q":
-        expo = rpp_prefactor_exponent(n, m)
-        lhs = MultiPoly.zero()
-        for filling in paths.rpp_fillings(n, m, k):
-            lhs = lhs + MultiPoly.variable("q", exp=paths.rpp_total(filling))
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = MultiPoly.zero()
-                for seq in paths.alt_sequences(2 * n + 2 * i + 2 * j + 1, k + m,
-                                               down_first=True):
-                    acc = acc + MultiPoly.variable("q", exp=sum(seq))
-                row.append(acc)
-            rows.append(row)
-        det = determinant(Matrix(rows))
-        rhs = MultiPoly.variable("q", exp=-expo) * det
+        return check_values("rpp", params, lhs, determinant(Matrix(rows)))
+    if mode == "q":   # q^(entry sum): one factor per object
+        lhs = paths.weight_sum(paths.rpp_fillings(n, m, k), lambda T: (paths.rpp_total(T),),
+                               _q_power)
+        rows = [[paths.weight_sum(seqs(i, j), lambda seq: (sum(seq),), _q_power)
+                 for j in range(m)] for i in range(m)]
+        rhs = _q_power(-rpp_prefactor_exponent(n, m)) * determinant(Matrix(rows))
         return check_values("rpp", params, lhs, rhs)
     if mode == "q-unbounded":
         expo = rpp_prefactor_exponent(n, m)
@@ -418,31 +398,18 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
             lhs_coeffs[paths.rpp_total(filling)] += 1
         dets = []
         for extra in (0, 1):  # stabilization in the entry bound is asserted
-            rows = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    coeffs = _alt_q_series(2 * n + 2 * i + 2 * j + 1,
-                                           bound + extra, entry_trunc)
-                    acc = MultiPoly.zero()
-                    for t, c in enumerate(coeffs):
-                        if c:
-                            acc = acc + c * MultiPoly.variable("q", exp=t)
-                    row.append(acc)
-                rows.append(row)
+            rows = [[_q_series(_alt_q_series(2 * n + 2 * i + 2 * j + 1, bound + extra,
+                                             entry_trunc)) for j in range(m)] for i in range(m)]
             dets.append(determinant(Matrix(rows)))
         if dets[0] != dets[1]:
             return IdentityCheck("rpp", params, "FAIL",
                                  witness="entry-bound stabilization failed")
-        rhs_series = MultiPoly.variable("q", exp=-expo) * dets[0]
+        rhs_series = _q_power(-expo) * dets[0]
         rhs_coeffs = [0] * trunc
         for e, coeff in rhs_series.as_univariate(Q_VAR).items():
             if 0 <= e < trunc:
                 rhs_coeffs[e] += int(coeff.as_fraction())
-        def q_series(coeffs: List[int]) -> MultiPoly:
-            return sum((c * MultiPoly.variable("q", exp=t) for t, c in enumerate(coeffs)),
-                       MultiPoly.zero())
-        return check_values("rpp", params, q_series(lhs_coeffs), q_series(rhs_coeffs))
+        return check_values("rpp", params, _q_series(lhs_coeffs), _q_series(rhs_coeffs))
     return skipped("rpp", params, f"unknown mode {mode!r}")
 
 
@@ -505,13 +472,13 @@ def check_special_dets(k: int) -> IdentityCheck:
 def check_alt_transfer_counts(n: int, k: int) -> IdentityCheck:
     """e_0^T (A')^n (1,...,1)^T equals the brute-force alternating count."""
     params = {"n": n, "k": k}
+    if n < 0 or k < 0:
+        return skipped("alt-transfer", params, "needs n, k >= 0")
     A = alt_transfer_matrix(k)
     u = [MultiPoly.const(1 if i == 0 else 0) for i in range(2 * k + 2)]
     for _ in range(n):
-        u = [sum((u[t] * A[t, j] for t in range(2 * k + 2)), MultiPoly.zero())
-             for j in range(2 * k + 2)]
-    total = sum((c for c in u), MultiPoly.zero())
-    return check_values("alt-transfer", params, total,
+        u = [poly_sum(u[t] * A[t, j] for t in range(2 * k + 2)) for j in range(2 * k + 2)]
+    return check_values("alt-transfer", params, poly_sum(u),
                         MultiPoly.const(paths.count_alt(n, k + 1)))
 
 
@@ -568,7 +535,7 @@ def check_connection1(n: int, k: int) -> IdentityCheck:
     lhs = bounded_moment(n, 0, 0, k, b_special(k))
     for i, u in enumerate(moment_vectors(2 * k + 1, zero_one(), 0, n + 1)):
         if i == n + 1:
-            rhs = sum((c for c in u), MultiPoly.zero())
+            rhs = poly_sum(u)
     return check_values("connection1", params, lhs, rhs)
 
 
@@ -624,46 +591,34 @@ def pv_closed_forms(which: str, n: int, k: int,
     what the inverse-matrix expansion actually produces.  The weighted-Alt
     pair is stated on the weights ``av_lambda().reversed(2k-1)``.
     """
+    V0 = MultiPoly.variable("V", 0)
+    v_sum = lambda seqs: paths.weight_sum(seqs, paths.seq_v_factors)
     if which == "2PV":
         lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(2, 2 * n - 1, 2 * k - 1):
-            total = total + paths.wt_seq_v(seq)
-        return lhs, MultiPoly.variable("V", 0) * total
+        return lhs, V0 * v_sum(paths.pv_sequences(2, 2 * n - 1, 2 * k - 1))
     if which == "3PV":
         lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0):
-            total = total + paths.wt_seq_v(seq)
-        return lhs, MultiPoly.variable("V", 0) * total
+        return lhs, V0 * v_sum(paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0))
     if which == "3PV-modified":
         lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0):
-            total = total + paths.wt_seq_v(seq)
+        total = v_sum(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0))
         sign = -1 if n % 2 else 1
-        return lhs, sign * MultiPoly.variable("V", 0) * total
+        return lhs, sign * V0 * total
     if which == "3PV-rs":
         bound = 3 * k - 1
         lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, bound, r=r, s=s):
-            total = total + paths.wt_seq_v(seq)
+        total = v_sum(paths.pv_sequences(3, n - 1, bound, r=r, s=s))
         sign = -1 if (r // 3 + s // 3) % 2 else 1
         return lhs, sign * _v_ratio(r, s) * total
     if which == "3PV-modified-rs":
         bound = 3 * k
         lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
-        total = MultiPoly.zero()
-        for seq in paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s):
-            total = total + paths.wt_seq_v(seq)
+        total = v_sum(paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s))
         sign = -1 if ((r + 1) // 3 + (s + 1) // 3 + n) % 2 else 1
         return lhs, sign * _v_ratio(r, s) * total
     if which == "weighted-Alt":
         lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda().reversed(2 * k - 1))
-        total = MultiPoly.zero()
-        for seq in paths.alt_sequences(2 * n - 1, k):
-            total = total + paths.wt_seq_av(seq)
+        total = paths.weight_sum(paths.alt_sequences(2 * n - 1, k), paths.seq_av_factors)
         return lhs, MultiPoly.variable("A", k) * total
     raise ValueError(f"unknown identity {which!r}")
 
@@ -809,9 +764,8 @@ def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
     """Brute-force side: 1/b0 times the reciprocal-weight sum over paths
     to (2(n-1), 0) of height at most k."""
     rec = laurent_reciprocal(spec)
-    total = MultiPoly.zero()
-    for p in paths.schroeder_paths(2 * (n - 1), k):
-        total = total + paths.wt_schroeder(p, rec.b, rec.a)
+    total = paths.weight_sum(paths.schroeder_paths(2 * (n - 1), k), paths.schroeder_factors,
+                             lambda f: getattr(rec, f[0])(f[1]))
     return spec.b(0).unit_inverse() * total
 
 

@@ -87,6 +87,59 @@ def test_sequence_weights(capsys):
     assert rows["HH"] == "b0^2"
 
 
+# `sequence <family> --emit weights`: one row per object, its encoding and its weight
+_WEIGHT_ROWS = {
+    "motzkin --n 4 --k 2 --r 1 --s 0": [
+        "UHDD b2*lam1*lam2", "UDHD b1*lam1*lam2", "UDDH b0*lam1*lam2", "HUDD b1*lam1*lam2",
+        "HHHD b1^3*lam1", "HHDH b0*b1^2*lam1", "HDUD b1*lam1^2", "HDHH b0^2*b1*lam1",
+        "DUHD b1*lam1^2", "DUDH b0*lam1^2", "DHUD b0*lam1^2", "DHHH b0^3*lam1",
+    ],
+    "schroeder --n 4 --k 2": [
+        "U,U,D,D a1*a2", "U,H2,D b1*a1", "U,D,U,D a1^2", "U,D,H2 b0*a1", "H2,U,D b0*a1",
+        "H2,H2 b0^2",
+    ],
+    "pv --ell 2 --n 3 --k 3": [
+        "(1,0,1) V0*V1^2", "(1,0,3) V0*V1*V3", "(3,0,1) V0*V1*V3", "(3,0,3) V0*V3^2",
+        "(3,2,3) V2*V3^2",
+    ],
+    "pv --ell 3 --n 3 --k 3 --variant modified": [
+        "(0,0,0) V0^3", "(0,0,2) V0^2*V2", "(0,0,3) V0^2*V3", "(0,2,0) V0^2*V2",
+        "(0,3,0) V0^2*V3", "(0,3,3) V0*V3^2", "(2,0,0) V0^2*V2", "(2,0,2) V0*V2^2",
+        "(2,0,3) V0*V2*V3", "(2,1,2) V1*V2^2", "(2,1,3) V1*V2*V3", "(3,0,0) V0^2*V3",
+        "(3,0,2) V0*V2*V3", "(3,0,3) V0*V3^2", "(3,1,2) V1*V2*V3", "(3,1,3) V1*V3^2",
+        "(3,3,0) V0*V3^2", "(3,3,3) V3^3",
+    ],
+    "alt --n 3 --k 2": [   # odd length: V on odd positions, A on even ones
+        "(1,1,1) V1^2*A1", "(1,2,1) V1^2*A2", "(1,2,2) V1*V2*A2", "(2,2,1) V1*V2*A2",
+        "(2,2,2) V2^2*A2",
+    ],
+    "alt --n 2 --k 2": [   # even length: V throughout
+        "(1,1) V1^2", "(1,2) V1*V2", "(2,2) V2^2",
+    ],
+    "alt --n 3 --k 2 --pattern down-first": [
+        "(1,1,1) V1^2*A1", "(1,1,2) V1*V2*A1", "(2,1,1) V1*V2*A1", "(2,1,2) V2^2*A1",
+        "(2,2,2) V2^2*A2",
+    ],
+    "alt --n 3 --k 3 --r 1 --s 2": [
+        "(1,2,2) V1*V2*A2", "(1,3,2) V1*V2*A3",
+    ],
+    "rpp --n 1 --m 1 --k 1": [
+        "shape staircase(1+2*1)/staircase(1); 0 0 | 0 V1^2*A1",
+        "shape staircase(1+2*1)/staircase(1); 0 0 | 1 V1*V2*A1",
+        "shape staircase(1+2*1)/staircase(1); 0 1 | 0 V1*V2*A1",
+        "shape staircase(1+2*1)/staircase(1); 0 1 | 1 V2^2*A1",
+        "shape staircase(1+2*1)/staircase(1); 1 1 | 1 V2^2*A2",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(_WEIGHT_ROWS))
+def test_sequence_weights_golden(argv, capsys):
+    code, out, err = run_cli(["sequence", *argv.split(), "--emit", "weights"], capsys)
+    assert (code, err) == (0, "")
+    assert data_lines(out) == _WEIGHT_ROWS[argv]
+
+
 def test_verify_pass_lines_and_exit(capsys):
     code, out, _ = run_cli(["verify", "ck", "--n", "1..2", "--k", "1..2"], capsys)
     assert code == 0
@@ -302,6 +355,8 @@ def test_verify_nonpositive_reasons(capsys):
     assert reasons("conj50", "1", "0..1", "-1") == ["needs k, m >= 0"] * 2
     assert reasons("connection2", "-1", "0..1") == ["n must be nonnegative"] * 2
     assert reasons("alt-cf", "1", "-1") == ["bound k must be nonnegative"]
+    assert reasons("dyck-motzkin", "0", "0") == ["needs n >= 0, k >= 1"]   # was an IndexError
+    assert reasons("alt-transfer", "0", "-1") == ["needs n, k >= 0"]   # was a false FAIL
 
 
 def verify_params(argv, capsys, monkeypatch):
@@ -345,6 +400,8 @@ _SMALL_GRID = {
     "special-dets": ["k=0", "k=1"],
     "connection1": _NK,
     "connection2": _NK,
+    "dyck-motzkin": _NK,
+    "alt-transfer": _NK,
 }
 
 

@@ -13,7 +13,7 @@ from negmom.laurent import (
     sigma_negative_cf,
     sigma_negative_gf,
 )
-from negmom.paths import schroeder_paths, wt_schroeder
+from negmom.paths import schroeder_factors, schroeder_paths, weight_sum
 from negmom.poly import MultiPoly
 from negmom.reciprocity import kamioka_moment, sigma_negative_oracle
 from negmom.weights import laurent_ones, laurent_reciprocal, laurent_symbolic
@@ -42,9 +42,8 @@ def test_sigma_gf_equals_cf_and_oracle():
         from negmom.ratfunc import series_expand
         ser = series_expand(sigma_gf(k, SYM), 5)
         for n in range(5):
-            total = MultiPoly.zero()
-            for p in schroeder_paths(2 * n, k):
-                total = total + wt_schroeder(p, SYM.b, SYM.a)
+            total = weight_sum(schroeder_paths(2 * n, k), schroeder_factors,
+                               lambda f: getattr(SYM, f[0])(f[1]))
             assert ser[n] == total, (k, n)
 
 

@@ -26,7 +26,7 @@ from negmom.moments import (
     viennot_cf,
     well_defined,
 )
-from negmom.paths import motzkin_paths, wt_motzkin
+from negmom.paths import motzkin_factors, motzkin_paths, weight_sum
 from negmom.poly import MultiPoly
 from negmom.ratfunc import RatFunc, reverse_gf, series_expand
 from negmom.reciprocity import pv_closed_forms
@@ -37,10 +37,8 @@ ONES = W.one_one()
 
 
 def oracle_moment(n, r, s, k, spec):
-    total = MultiPoly.zero()
-    for p in motzkin_paths(n, r, s, k):
-        total = total + wt_motzkin(p, spec, r)
-    return total
+    return weight_sum(motzkin_paths(n, r, s, k), lambda p: motzkin_factors(p, r),
+                      lambda f: getattr(spec, f[0])(f[1]))
 
 
 def test_transfer_matrix_shape():

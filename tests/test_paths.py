@@ -1,8 +1,11 @@
 """Brute-force enumerators: frozen counts, weights, bijections, invariants."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.paths import (
@@ -13,23 +16,23 @@ from negmom.paths import (
     encode_rpp,
     encode_seq,
     is_pv_sequence,
+    motzkin_factors,
     motzkin_paths,
     pv_sequences,
     pv_to_alt,
-    pwt_motzkin,
+    rpp_factors,
     rpp_fillings,
     rpp_total,
     rpp_transpose,
+    schroeder_factors,
     schroeder_paths,
+    seq_av_factors,
+    seq_v_factors,
     staircase_skew_cells,
-    wt_motzkin,
-    wt_rpp,
-    wt_schroeder,
-    wt_seq_av,
-    wt_seq_v,
+    weight_sum,
 )
 from negmom.poly import MultiPoly
-from negmom.weights import laurent_symbolic, symbolic
+from negmom.weights import WeightSpec, laurent_symbolic, symbolic
 
 
 def test_motzkin_base_cases():
@@ -57,31 +60,52 @@ def test_motzkin_duplicate_free():
             assert len(ps) == len(set(ps))
 
 
+def spec_value(spec):
+    """A factor (family, i) valued as ``spec.family(i)``."""
+    return lambda f: getattr(spec, f[0])(f[1])
+
+
+def motzkin_weight(steps, spec, r=0):
+    return weight_sum((steps,), lambda p: motzkin_factors(p, r), spec_value(spec))
+
+
 def test_motzkin_weights():
     spec = symbolic()
     (ud,) = [p for p in motzkin_paths(2, 0, 0, 2) if p == ("U", "D")]
-    assert wt_motzkin(ud, spec) == P.lam(1)
+    assert motzkin_factors(ud) == [("lam", 1)]
+    assert motzkin_weight(ud, spec) == P.lam(1)
     (hh,) = [p for p in motzkin_paths(2, 0, 0, 2) if p == ("H", "H")]
-    assert wt_motzkin(hh, spec) == P.b(0) ** 2
-    assert wt_motzkin((), spec) == MultiPoly.const(1)
+    assert motzkin_weight(hh, spec) == P.b(0) ** 2
+    assert motzkin_weight((), spec) == MultiPoly.const(1)
+    assert motzkin_factors(("H", "D", "U", "H"), 1) == [("b", 1), ("lam", 1), ("b", 1)]
+
+
+def point_factors(steps, r=0):
+    """The point weight: (b, j) for every lattice point (i, j) of the path."""
+    out = [("b", r)]
+    for step in steps:
+        out.append(("b", out[-1][1] + {"U": 1, "H": 0, "D": -1}[step]))
+    return out
 
 
 def test_point_weight_relation():
     # wt(pi; b, b^2) = (b0..b_{r-1} / b0..b_s) pwt(pi; b) on small grids
     from negmom.weights import b_squared
     bsq = b_squared()
+    assert point_factors(("U", "H", "D"), 1) == [("b", 1), ("b", 2), ("b", 2), ("b", 1)]
     for n in range(0, 6):
         for r in range(0, 3):
             for s in range(0, 3):
                 for p in motzkin_paths(n, r, s, 3):
-                    lhs = wt_motzkin(p, bsq, r)
+                    lhs = motzkin_weight(p, bsq, r)
                     ratio_num = MultiPoly.const(1)
                     for t in range(r):
                         ratio_num = ratio_num * P.b(t)
                     ratio_den = MultiPoly.const(1)
                     for t in range(s + 1):
                         ratio_den = ratio_den * P.b(t)
-                    assert lhs * ratio_den == ratio_num * pwt_motzkin(p, r)
+                    pwt = weight_sum((p,), lambda p: point_factors(p, r))
+                    assert lhs * ratio_den == ratio_num * pwt
 
 
 def test_schroeder_counts():
@@ -94,8 +118,61 @@ def test_schroeder_counts():
 
 def test_schroeder_weights():
     ls = laurent_symbolic()
-    w = wt_schroeder(("U", "H2", "D"), ls.b, ls.a)
+    assert schroeder_factors(("U", "H2", "D")) == [("b", 1), ("a", 1)]
+    w = weight_sum([("U", "H2", "D")], schroeder_factors, spec_value(ls))
     assert w == P.b(1) * P.a(1)
+    assert weight_sum([("U", "H2", "D")], schroeder_factors) == w   # variables by default
+
+
+def naive_weight_sum(objects, factors, value):
+    """The reference: each object's product, added to a running sum."""
+    total = MultiPoly.zero()
+    for obj in objects:
+        w = MultiPoly.const(1)
+        for f in factors(obj):
+            w = w * value(f)
+        total = total + w
+    return total
+
+
+# b numeric (b1 = 0 is a zero factor), lam = a Laurent: V_i^-1 * A_i
+MIXED = WeightSpec("mixed", lambda i: MultiPoly.const(Fraction(i - 1, 2)),
+                   lambda i: MultiPoly.variable("V", i, -1) * MultiPoly.variable("A", i))
+
+
+@st.composite
+def factor_families(draw):
+    """Objects as factor lists, drawn with repeats from a small pool and
+    each one shuffled, so equal multisets arrive in different orders."""
+    factor = st.tuples(st.sampled_from(("b", "lam", "a")), st.integers(1, 3))
+    pool = draw(st.lists(st.lists(factor, max_size=4), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=10))
+    return [draw(st.permutations(obj)) for obj in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_families(), st.booleans())
+def test_weight_sum_matches_running_sum(objects, by_spec):
+    base = spec_value(MIXED) if by_spec else (lambda f: MultiPoly.variable(*f))
+    calls = []
+
+    def value(f):
+        calls.append(f)
+        return base(f)
+
+    got = weight_sum(iter(objects), list, value)
+    assert got == naive_weight_sum(objects, list, base)
+    assert len(calls) == len({f for obj in objects for f in obj})   # once per factor
+    if not by_spec:
+        assert weight_sum(objects, list) == got   # by default a factor is its variable
+
+
+def test_weight_sum_edges():
+    assert weight_sum([], seq_v_factors) == MultiPoly.zero()          # empty family
+    assert weight_sum([(), ()], seq_v_factors) == MultiPoly.const(2)  # no factors: weight 1
+    assert weight_sum([(1, 2), (2, 1), (1, 2)], seq_v_factors) == 3 * P.V(1) * P.V(2)
+    rows = [[("b", 2), ("lam", 1)], [("lam", 1), ("b", 2)], [("b", 1)]]   # b1 = 0
+    assert weight_sum(rows, list, spec_value(MIXED)) == P.V(1) ** -1 * P.A(1)
 
 
 def test_pv_membership_example():
@@ -162,11 +239,15 @@ def test_pv_alt_bijection():
 
 
 def test_sequence_weights():
-    assert wt_seq_v(()) == MultiPoly.const(1)
-    assert wt_seq_v((1, 0, 1)) == P.V(1) ** 2 * P.V(0)
-    assert wt_seq_av((3, 3, 1, 4, 4)) == P.V(3) * P.A(3) * P.V(1) * P.A(4) * P.V(4)
+    assert weight_sum([()], seq_v_factors) == MultiPoly.const(1)
+    assert weight_sum([(1, 0, 1)], seq_v_factors) == P.V(1) ** 2 * P.V(0)
+    assert seq_av_factors((3, 3, 1)) == [("V", 3), ("A", 3), ("V", 1)]
+    assert (weight_sum([(3, 3, 1, 4, 4)], seq_av_factors)
+            == P.V(3) * P.A(3) * P.V(1) * P.A(4) * P.V(4))
     with pytest.raises(ValueError):
-        wt_seq_av((1, 2))
+        seq_av_factors((1, 2))
+    with pytest.raises(ValueError):
+        weight_sum([(1, 2)], seq_av_factors)
 
 
 def test_encodings():
@@ -198,7 +279,8 @@ def test_rpp_transpose_symmetry():
 
 def test_rpp_weights_alternate_families():
     (zero_fill,) = [f for f in rpp_fillings(1, 1, 1) if rpp_total(f) == 0]
-    assert wt_rpp(zero_fill, 1) == P.A(1) * P.V(1) ** 2
+    assert sorted(rpp_factors(zero_fill, 1)) == [("A", 1), ("V", 1), ("V", 1)]
+    assert weight_sum([zero_fill], lambda T: rpp_factors(T, 1)) == P.A(1) * P.V(1) ** 2
     header = encode_rpp(zero_fill, 1, 1)
     assert "0 0" in header and "|" in header
 

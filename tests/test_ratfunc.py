@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negmom import poly as P
@@ -135,6 +135,7 @@ def test_over_power_matches_reduced_ratfunc(p, s, t, extra, mono, e):
 
 @settings(max_examples=25, deadline=None)
 @given(_x_polys, _x_polys)
+@example(P.b(0) * P.b(1) + P.b(0), P.b(0) ** 2 * P.b(1) + P.b(0) ** 2 + X)   # c_0 = b0^-1
 def test_series_matches_sympy_for_non_unit_d0(num, den):
     sympy = pytest.importorskip("sympy")
     assume(0 in x_coeffs(den))   # no pole at x = 0
@@ -151,8 +152,10 @@ def test_series_matches_sympy_for_non_unit_d0(num, den):
     for n, c in enumerate(series_expand(f, order)):
         ref = sympy.cancel(want.coeff(names["x"], n))
         assert sympy.cancel(to_sympy(c) - ref) == 0, n
-        # a MultiPoly exactly when the coefficient is a polynomial
-        assert isinstance(c, MultiPoly) == sympy.fraction(ref)[1].is_number, n
+        # a MultiPoly exactly when the coefficient is a Laurent polynomial:
+        # its reduced denominator is a single term
+        den_ref = sympy.Poly(sympy.fraction(ref)[1], *names.values())
+        assert isinstance(c, MultiPoly) == den_ref.is_monomial, n
 
 
 def test_series_pole_rejected():
