@@ -5,7 +5,6 @@ from .matrix import Matrix, SingularMatrixError, determinant, matrix_inverse, mi
 from .moments import (
     IllDefinedError,
     bounded_moment,
-    extended_moment,
     moment_gf,
     negative_cf,
     negative_moment,
@@ -20,7 +19,6 @@ from .moments import (
 )
 from .poly import MultiPoly, poly_div_exact, poly_gcd
 from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand
-from .reciprocity import pv_closed_forms
 from .weights import WeightSpec, spec
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "bounded_moment",
     "cf_eval",
     "determinant",
-    "extended_moment",
     "matrix_inverse",
     "minor",
     "moment_gf",
@@ -44,7 +41,6 @@ __all__ = [
     "orth_poly",
     "poly_div_exact",
     "poly_gcd",
-    "pv_closed_forms",
     "reverse_gf",
     "series_expand",
     "spec",

@@ -168,9 +168,10 @@ def cmd_sequence(args) -> int:
         enc = paths.encode_seq
         factors = paths.seq_v_factors
     elif fam == "alt":
-        endpoints = None
-        if args.r is not None and args.s is not None:
-            endpoints = (args.r, args.s)
+        if (args.r is None) != (args.s is None):
+            sys.stderr.write("error: alt pins both endpoints, --r and --s, or neither\n")
+            return USAGE_ERROR
+        endpoints = None if args.r is None else (args.r, args.s)
         objs = paths.alt_sequences(n, args.k, down_first=args.pattern == "down-first",
                                    endpoints=endpoints)
         enc = paths.encode_seq

@@ -7,6 +7,10 @@ use cofactor expansion.  The adjugate stays in the polynomial ring
 (A adj(A) = det(A) I), so the moment engine steps inverse powers with it
 and divides by a power of det(A) once; ``matrix_inverse`` materializes
 adj(A) / det(A) as reduced RatFunc entries for the minor-identity check.
+Every moment-grid determinant of the reciprocity identities is a Hankel
+determinant det(c_{i+j}), built by ``hankel_determinant`` from the 2m-1
+entries of its sequence: each entry is computed once, and a condensation
+of Hankel families has one place to go.
 """
 
 from __future__ import annotations
@@ -126,6 +130,15 @@ def determinant(m: Matrix) -> MultiPoly:
     if 2 <= n <= 4 and max(len(e) for row in m.data for e in row) > 64:
         return _det_cofactor(m.data, MultiPoly.zero())
     return _det_bareiss([list(row) for row in m.data])
+
+
+def hankel_determinant(c: Sequence[Entry]) -> Entry:
+    """det(c[i+j]) for i, j < m, given the 2m-1 entries c_0..c_{2m-2}; the
+    empty list gives 1, and a non-empty even-length list raises ValueError."""
+    if c and len(c) % 2 == 0:
+        raise ValueError(f"a Hankel grid needs an odd number of entries, got {len(c)}")
+    m = (len(c) + 1) // 2
+    return determinant(Matrix([[c[i + j] for j in range(m)] for i in range(m)]))
 
 
 def _det_bareiss(a: List[List[MultiPoly]]) -> MultiPoly:

@@ -122,11 +122,6 @@ def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPol
     raise AssertionError("unreachable")
 
 
-def moment_sequence(k: int, spec: WeightSpec, n_max: int,
-                    r: int = 0, s: int = 0) -> List[MultiPoly]:
-    return [u[s] for u in moment_vectors(k, spec, r, n_max)]
-
-
 # -- orthogonal polynomials and generating functions -----------------------------
 
 def orth_poly(n: int, spec: WeightSpec) -> MultiPoly:
@@ -279,14 +274,6 @@ def _recurrence_extension(n: int, r: int, s: int, k: int, spec: WeightSpec) -> V
                 acc = acc - qj * window[d - 1 - j]
         window = [acc] + [w * qd for w in window[:-1]]
     return over_power(window[0], qd, n)
-
-
-def extended_moment(j: int, r: int, s: int, k: int, spec: WeightSpec,
-                    method: str = "gf-reverse") -> Value:
-    """mu_j for any integer j: forward for j >= 0, backward otherwise."""
-    if j >= 0:
-        return bounded_moment(j, r, s, k, spec)
-    return negative_moment(-j, r, s, k, spec, method=method)
 
 
 # -- closed-form tridiagonal inverses ---------------------------------------------

@@ -406,6 +406,8 @@ def staircase_skew_cells(n: int, m: int) -> List[Tuple[int, int]]:
     Row i of the outer staircase has length n+2m-i (i = 1..n+2m); the
     inner staircase removes max(n-i, 0) leading cells.
     """
+    if n < 0 or m < 0:
+        raise ValueError("n, m must be nonnegative")
     cells = []
     p = n + 2 * m
     for i in range(1, p + 1):
@@ -423,9 +425,9 @@ def rpp_fillings(n: int, m: int, k: int,
     ``max_total`` keeps only fillings with entry sum <= max_total (and
     prunes the search accordingly).
     """
+    cells = staircase_skew_cells(n, m)
     if max_total is not None and max_total < 0:
         return                          # not even the empty shape's filling
-    cells = staircase_skew_cells(n, m)
     index = {cell: t for t, cell in enumerate(cells)}
     # the filled neighbours (left, above) whose entries bound each cell from below
     below = [[index[c] for c in ((i, j - 1), (i - 1, j)) if c in index] for i, j in cells]
@@ -452,10 +454,6 @@ def rpp_factors(filling: Dict[Tuple[int, int], int], n: int) -> List[Factor]:
     """Per cell (A or V by the parity of d = i+j-n, index entry + floor((d+1)/2))."""
     return [("A" if (i + j - n) % 2 else "V", v + (i + j - n + 1) // 2)
             for (i, j), v in filling.items()]
-
-
-def rpp_transpose(filling: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
-    return {(j, i): v for (i, j), v in filling.items()}
 
 
 def encode_rpp(filling: Dict[Tuple[int, int], int], n: int, m: int) -> str:

@@ -313,14 +313,6 @@ def reverse_gf(f: RatFunc) -> RatFunc:
     return RatFunc(num, den)
 
 
-def double_reversal(f: RatFunc) -> RatFunc:
-    """Generating function of the fully reversed sequence (index 0 kept).
-
-    Applying this twice recovers ``f`` exactly.
-    """
-    return reverse_gf(f) + series_expand(f, 1)[0]
-
-
 def cf_eval(partial_numerators: Sequence[PolyLike],
             partial_denominators: Sequence[PolyLike]) -> RatFunc:
     """Collapse the finite continued fraction

@@ -13,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from . import paths
 from .laurent import schroeder_count_reciprocity, sigma_moment, sigma_negative
-from .matrix import Matrix, determinant
+from .matrix import Matrix, determinant, hankel_determinant
 from .moments import (
-    IllDefinedError,
     adjugate_vectors,
     bounded_moment,
     moment_vectors,
@@ -50,8 +49,6 @@ from .weights import (
 )
 
 Value = Union[MultiPoly, RatFunc, int, Fraction]
-
-_ONE = MultiPoly.const(1)
 
 
 class IdentityCheck:
@@ -129,40 +126,19 @@ def _combine(identity: str, params: Dict[str, object],
 
 # -- moment grids -----------------------------------------------------------------
 
-def _forward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[MultiPoly]:
-    return [u[0] for u in moment_vectors(k, spec, 0, n_max)]
-
-
-def _backward_sequence(k: int, spec: WeightSpec, n_max: int) -> List[Value]:
-    """[mu_0, mu_{-1}, ..., mu_{-n_max}] via the reversed generating function."""
-    return [MultiPoly.const(1)] + negative_moments(n_max, 0, 0, k, spec)
-
-
-def det_moment_grid(sign: str, n: int, k: int, m: int, spec: WeightSpec) -> Value:
-    """Determinant of the forward (k x k) or backward (m x m) moment grid.
-
-    Forward entries are mu_{n+i+j+2m-2}, backward entries mu_{-n-i-j},
-    both at bound k+m-1.  Empty grids give 1.
-    """
-    bound = k + m - 1
-    if sign == "positive":
-        if k == 0:
-            return _ONE
-        seq = _forward_sequence(bound, spec, n + 2 * (k - 1) + 2 * m - 2)
-        rows = [[seq[n + i + j + 2 * m - 2] for j in range(k)] for i in range(k)]
-        return determinant(Matrix(rows))
-    if sign == "negative":
-        if m == 0:
-            return _ONE
-        ok, cert = well_defined(bound, spec)
-        if not ok:
-            raise IllDefinedError("backward grid undefined", cert)
-        seq = _backward_sequence(bound, spec, n + 2 * (m - 1))
-        rows = [[seq[n + i + j] for j in range(m)] for i in range(m)]
-        if all(isinstance(e, MultiPoly) for row in rows for e in row):
-            return determinant(Matrix(rows))
-        return determinant(Matrix([[_as_ratfunc(e) for e in row] for row in rows]))
-    raise ValueError("sign must be 'positive' or 'negative'")
+def _moment_run(bound: int, spec: WeightSpec, start: int, step: int,
+                count: int) -> List[Value]:
+    """The count moments mu_start, mu_{start+step}, ... (heights 0, 0) at
+    the bound: forward at indices >= 0, backward (one series expansion)
+    below 0.  Nothing is computed when count is 0, so an empty Hankel grid
+    costs nothing."""
+    js = range(start, start + step * count, step)
+    if not js:
+        return []
+    lo, hi = min(js), max(js)
+    fwd = [u[0] for u in moment_vectors(bound, spec, 0, hi)] if hi >= 0 else []
+    back = negative_moments(-lo, 0, 0, bound, spec) if lo < 0 else []
+    return [fwd[j] if j >= 0 else back[-j - 1] for j in js]
 
 
 def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> IdentityCheck:
@@ -176,12 +152,11 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     ok, cert = well_defined(K, spec)
     if not ok:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
-    lhs = det_moment_grid("positive", n, k, m, spec)
+    lhs = hankel_determinant(_moment_run(K, spec, n + 2 * m - 2, 1, 2 * k - 1))
     d = cert if K % 2 else -cert   # P_{K+1}(0) = det(-A) = (-1)^(K+1) det A
     # the backward grid and its det A on the reversed weights b_{K-i}, lam_{K+1-i}
     d_rev, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
-    rows = [[vecs[n + i + j][0] for j in range(m)] for i in range(m)]
-    det_h_rev = determinant(Matrix(rows))
+    det_h_rev = hankel_determinant([u[0] for u in vecs[n:]])
     denom_power = m * n + m * (m - 1)
     rhs_num = d ** (n + 2 * m - 2) * det_h_rev
     rhs_den = d_rev ** denom_power
@@ -202,22 +177,9 @@ def check_theorem15(n: int, k: int, m: int) -> IdentityCheck:
         return skipped("thm15", params, "needs n, k, m >= 0")
     spec = zero_one()
     bound = 2 * k + 2 * m - 1
-    if k == 0:
-        lhs: Value = _ONE
-    else:
-        # the m = 0 edge sends forward entries to (extended) negative indices
-        seq = _forward_sequence(bound, spec, max(2 * n + 4 * (k - 1) + 4 * m - 2, 0))
-        back = _backward_sequence(bound, spec, 2)
-        ext = lambda j: seq[j] if j >= 0 else back[-j]
-        rows = [[ext(2 * n + 2 * i + 2 * j + 4 * m - 2) for j in range(k)]
-                for i in range(k)]
-        lhs = determinant(Matrix(rows))
-    if m == 0:
-        rhs: Value = _ONE
-    else:
-        back = _backward_sequence(bound, spec, 2 * n + 4 * (m - 1))
-        rows = [[back[2 * n + 2 * i + 2 * j] for j in range(m)] for i in range(m)]
-        rhs = determinant(Matrix(rows))
+    # the (n, m) = (0, 0) corner starts the forward grid at mu_{-2}
+    lhs = hankel_determinant(_moment_run(bound, spec, 2 * n + 4 * m - 2, 2, 2 * k - 1))
+    rhs = hankel_determinant(_moment_run(bound, spec, -2 * n, -2, 2 * m - 1))
     return check_values("thm15", params, lhs, rhs)
 
 
@@ -230,26 +192,17 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
     K = k + m
     bound = 2 * K - 1
     spec = zero_one()
-    if k == 0:
-        lhs: Value = _ONE
-    else:
-        n_max = max(n + 2 * (k - 1) + 2 * m - 1, 0)
-        sums: List[Value] = [poly_sum(u) for u in moment_vectors(bound, spec, 0, n_max)]
-        neg_sums: List[Value] = [sums[0]]
-        if n + 2 * m - 1 < 0:
-            # the (n, m) = (0, 0) corner reaches one step backwards
-            det, vecs = adjugate_vectors(bound, spec, 0, -(n + 2 * m - 1))
+    # row sums of e_0^T A^j, backward (j < 0) when n + 2m < 1
+    js = range(n + 2 * m - 1, n + 2 * m + 2 * k - 2)
+    sums: Dict[int, Value] = {}
+    if js:
+        sums = dict(enumerate(map(poly_sum, moment_vectors(bound, spec, 0, max(js[-1], 0)))))
+        if js[0] < 0:
+            det, vecs = adjugate_vectors(bound, spec, 0, -js[0])
             for t, u in enumerate(vecs[1:], 1):
-                neg_sums.append(over_power(poly_sum(u), det, t))
-        ext = lambda j: sums[j] if j >= 0 else neg_sums[-j]
-        rows = [[ext(n + i + j + 2 * m - 1) for j in range(k)] for i in range(k)]
-        lhs = determinant(Matrix(rows))
-    if m == 0:
-        rhs: Value = _ONE
-    else:
-        rows = [[MultiPoly.const(paths.count_alt(n + i + j, K)) for j in range(m)]
-                for i in range(m)]
-        rhs = determinant(Matrix(rows))
+                sums[-t] = over_power(poly_sum(u), det, t)
+    lhs = hankel_determinant([sums[j] for j in js])
+    rhs = hankel_determinant([paths.count_alt(n + t, K) for t in range(2 * m - 1)])
     sign = (-1) ** ((comb(k, 2) + comb(m, 2)) * (n + 1))
     return check_values("conj50", params, lhs, sign * rhs)
 
@@ -261,9 +214,9 @@ def check_conjecture53(n: int, k: int, m: int) -> IdentityCheck:
         return skipped("conj53", params, "k+m = 2 (mod 3): backward side undefined")
     if n < 1 or k < 1 or m < 1:
         return skipped("conj53", params, "needs positive n, k, m")
-    spec = one_one()
-    lhs = det_moment_grid("positive", n, k, m, spec)
-    rhs = det_moment_grid("negative", n, k, m, spec)
+    spec, bound = one_one(), k + m - 1
+    lhs = hankel_determinant(_moment_run(bound, spec, n + 2 * m - 2, 1, 2 * k - 1))
+    rhs = hankel_determinant(_moment_run(bound, spec, -n, -1, 2 * m - 1))
     sign = (-1) ** (n * ((k + m) // 3))
     return check_values("conj53", params, lhs, sign * rhs)
 
@@ -276,12 +229,8 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
         return skipped("thm34", params, "needs positive n, k, m")
     spec = make_spec("zero", "symbolic")
     bound = 2 * k + 2 * m - 1
-    seq = _forward_sequence(bound, spec, 2 * n + 4 * (k - 1) + 4 * m - 2)
-    rows = [[seq[2 * n + 2 * i + 2 * j + 4 * m - 2] for j in range(k)] for i in range(k)]
-    lhs = determinant(Matrix(rows))
-    back = _backward_sequence(bound, spec.reversed(bound), 2 * n + 4 * (m - 1))
-    rows_b = [[back[2 * n + 2 * i + 2 * j] for j in range(m)] for i in range(m)]
-    det_b = determinant(Matrix(rows_b))
+    lhs = hankel_determinant(_moment_run(bound, spec, 2 * n + 4 * m - 2, 2, 2 * k - 1))
+    det_b = hankel_determinant(_moment_run(bound, spec.reversed(bound), -2 * n, -2, 2 * m - 1))
     prefactor = MultiPoly.const(1)
     for i in range(1, k + m):
         prefactor = prefactor * MultiPoly.variable("lam", 2 * i) ** (k - i)
@@ -375,19 +324,20 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
     params = {"n": n, "m": m, "k": k, "mode": mode}
     if m < 1 or n < 0 or k < 0:
         return skipped("rpp", params, "needs m >= 1, n >= 0, k >= 0")
-    seqs = lambda i, j: paths.alt_sequences(2 * n + 2 * i + 2 * j + 1, k + m, down_first=True)
+    # Hankel entry t weighs the down-first sequences of length 2n+2t+1
+    lengths = [2 * n + 2 * t + 1 for t in range(2 * m - 1)]
+    seqs = lambda length: paths.alt_sequences(length, k + m, down_first=True)
     if mode == "symbolic-VA":
         lhs = paths.weight_sum(paths.rpp_fillings(n, m, k), lambda T: paths.rpp_factors(T, n))
-        rows = [[paths.weight_sum(seqs(i, j), paths.seq_av_factors) for j in range(m)]
-                for i in range(m)]
-        return check_values("rpp", params, lhs, determinant(Matrix(rows)))
+        rhs = hankel_determinant([paths.weight_sum(seqs(length), paths.seq_av_factors)
+                                  for length in lengths])
+        return check_values("rpp", params, lhs, rhs)
     if mode == "q":   # q^(entry sum): one factor per object
         lhs = paths.weight_sum(paths.rpp_fillings(n, m, k), lambda T: (paths.rpp_total(T),),
                                _q_power)
-        rows = [[paths.weight_sum(seqs(i, j), lambda seq: (sum(seq),), _q_power)
-                 for j in range(m)] for i in range(m)]
-        rhs = _q_power(-rpp_prefactor_exponent(n, m)) * determinant(Matrix(rows))
-        return check_values("rpp", params, lhs, rhs)
+        det = hankel_determinant([paths.weight_sum(seqs(length), lambda seq: (sum(seq),),
+                                                   _q_power) for length in lengths])
+        return check_values("rpp", params, lhs, _q_power(-rpp_prefactor_exponent(n, m)) * det)
     if mode == "q-unbounded":
         expo = rpp_prefactor_exponent(n, m)
         entry_trunc = trunc + expo
@@ -396,11 +346,9 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
         lhs_coeffs = [0] * trunc
         for filling in lhs_fillings:
             lhs_coeffs[paths.rpp_total(filling)] += 1
-        dets = []
-        for extra in (0, 1):  # stabilization in the entry bound is asserted
-            rows = [[_q_series(_alt_q_series(2 * n + 2 * i + 2 * j + 1, bound + extra,
-                                             entry_trunc)) for j in range(m)] for i in range(m)]
-            dets.append(determinant(Matrix(rows)))
+        dets = [hankel_determinant([_q_series(_alt_q_series(length, bound + extra, entry_trunc))
+                                    for length in lengths])
+                for extra in (0, 1)]   # stabilization in the entry bound is asserted
         if dets[0] != dets[1]:
             return IdentityCheck("rpp", params, "FAIL",
                                  witness="entry-bound stabilization failed")
@@ -581,94 +529,63 @@ def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -
     return series_expand(_pinned_pv3_gf(r, s, bound, unit_weights), n + 1)[n]
 
 
-def pv_closed_forms(which: str, n: int, k: int,
-                    r: int = 0, s: int = 0) -> Tuple[Value, Value]:
-    """Both sides of a peak-valley moment identity; the caller asserts equality.
-
-    The left side is the negative moment computed from the closed-form
-    machinery, the right side a brute-force weighted sequence count.
-    Boundary conventions at n = 1 follow the (r, s)-pinned sets, which is
-    what the inverse-matrix expansion actually produces.  The weighted-Alt
-    pair is stated on the weights ``av_lambda().reversed(2k-1)``.
-    """
-    V0 = MultiPoly.variable("V", 0)
-    v_sum = lambda seqs: paths.weight_sum(seqs, paths.seq_v_factors)
-    if which == "2PV":
-        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
-        return lhs, V0 * v_sum(paths.pv_sequences(2, 2 * n - 1, 2 * k - 1))
-    if which == "3PV":
-        lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
-        return lhs, V0 * v_sum(paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0))
-    if which == "3PV-modified":
-        lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
-        total = v_sum(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0))
-        sign = -1 if n % 2 else 1
-        return lhs, sign * V0 * total
-    if which == "3PV-rs":
-        bound = 3 * k - 1
-        lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
-        total = v_sum(paths.pv_sequences(3, n - 1, bound, r=r, s=s))
-        sign = -1 if (r // 3 + s // 3) % 2 else 1
-        return lhs, sign * _v_ratio(r, s) * total
-    if which == "3PV-modified-rs":
-        bound = 3 * k
-        lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
-        total = v_sum(paths.pv_sequences(3, n - 1, bound, modified=True, r=r, s=s))
-        sign = -1 if ((r + 1) // 3 + (s + 1) // 3 + n) % 2 else 1
-        return lhs, sign * _v_ratio(r, s) * total
-    if which == "weighted-Alt":
-        lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda().reversed(2 * k - 1))
-        total = paths.weight_sum(paths.alt_sequences(2 * n - 1, k), paths.seq_av_factors)
-        return lhs, MultiPoly.variable("A", k) * total
-    raise ValueError(f"unknown identity {which!r}")
+def _v_sum(seqs) -> MultiPoly:
+    return paths.weight_sum(seqs, paths.seq_v_factors)
 
 
-# -- wrappers over the peak-valley closed forms ------------------------------------------
+# Each peak-valley check sets a negative moment from the closed-form
+# machinery against a brute-force weighted sequence sum.  Boundary
+# conventions at n = 1 follow the (r, s)-pinned sets, which is what the
+# inverse-matrix expansion actually produces.
 
 def check_pv2(n: int, k: int) -> IdentityCheck:
+    """The 2-PV moments, and the weighted-Alt pair on the weights
+    ``av_lambda().reversed(2k-1)``."""
     params = {"n": n, "k": k}
     _require_negative_index(n, k, 1)
-    sub = []
-    lhs, rhs = pv_closed_forms("2PV", n, k)
-    sub.append(check_values("pv2", params, lhs, rhs))
-    lhs, rhs = pv_closed_forms("weighted-Alt", n, k)
-    sub.append(check_values("pv2", params, lhs, rhs))
+    lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
+    rhs = MultiPoly.variable("V", 0) * _v_sum(paths.pv_sequences(2, 2 * n - 1, 2 * k - 1))
+    sub = [check_values("pv2", params, lhs, rhs)]
+    lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, av_lambda().reversed(2 * k - 1))
+    total = paths.weight_sum(paths.alt_sequences(2 * n - 1, k), paths.seq_av_factors)
+    sub.append(check_values("pv2", params, lhs, MultiPoly.variable("A", k) * total))
     return _combine("pv2", params, sub)
 
 
 def check_pv3a(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
     _require_negative_index(n, k, 1)
-    lhs, rhs = pv_closed_forms("3PV", n, k)
+    lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
+    rhs = MultiPoly.variable("V", 0) * _v_sum(paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0))
     return check_values("pv3a", params, lhs, rhs)
 
 
 def check_pv3b(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
     _require_negative_index(n, k, 0)
-    lhs, rhs = pv_closed_forms("3PV-modified", n, k)
-    return check_values("pv3b", params, lhs, rhs)
+    lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
+    total = _v_sum(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0))
+    return check_values("pv3b", params, lhs, (-1) ** n * MultiPoly.variable("V", 0) * total)
 
 
 def check_pv3_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
-    """Endpoint-pinned 3-PV identities at both bounds plus their unit-weight
-    sign corollaries."""
+    """Endpoint-pinned 3-PV identities at both bounds, 3k-1 plain and 3k
+    modified, plus their unit-weight sign corollaries."""
     params = {"n": n, "k": k, "r": r, "s": s}
     sub = []
-    if 0 <= r <= 3 * k - 1 and 0 <= s <= 3 * k - 1:
-        lhs, rhs = pv_closed_forms("3PV-rs", n, k, r, s)
+    for modified in (0, 1):
+        bound = 3 * k - 1 + modified
+        if not (0 <= r <= bound and 0 <= s <= bound):
+            continue
+        e = (r + modified) // 3 + (s + modified) // 3 + modified * n
+        seqs = lambda: paths.pv_sequences(3, n - 1, bound, modified=bool(modified), r=r, s=s)
+        lhs = _pinned_pv3_moment(n, r, s, bound, unit_weights=False)
+        rhs = (-1) ** e * _v_ratio(r, s) * _v_sum(seqs())
         sub.append(check_values("pv3-rs", params, lhs, rhs))
-        mu = _pinned_pv3_moment(n, r, s, 3 * k - 1, unit_weights=True)
-        count = paths.count(paths.pv_sequences(3, n - 1, 3 * k - 1, r=r, s=s))
-        sign = (-1) ** (r // 3 + s // 3 + r + s + n)
-        sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(sign * count)))
-    if 0 <= r <= 3 * k and 0 <= s <= 3 * k:
-        lhs, rhs = pv_closed_forms("3PV-modified-rs", n, k, r, s)
-        sub.append(check_values("pv3-rs", params, lhs, rhs))
-        mu = _pinned_pv3_moment(n, r, s, 3 * k, unit_weights=True)
-        count = paths.count(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=r, s=s))
-        sign = (-1) ** ((r + 1) // 3 + (s + 1) // 3 + r + s)
-        sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(sign * count)))
+        # corollary: under the unit weights the V-weighted sum is a signed count
+        mu = _pinned_pv3_moment(n, r, s, bound, unit_weights=True)
+        count = (-1) ** (e + r + s + n) * paths.count(seqs())
+        sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(count)))
     if not sub:
         return skipped("pv3-rs", params, "endpoints exceed both bounds")
     return _combine("pv3-rs", params, sub)

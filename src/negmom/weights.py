@@ -95,11 +95,6 @@ def one_one() -> WeightSpec:
     return spec("one", "one")
 
 
-def b_squared() -> WeightSpec:
-    """Symbolic b with lam_i = b_{i-1} * b_i."""
-    return spec("symbolic", "bsq")
-
-
 def v_inverse() -> WeightSpec:
     """b_i = -1/V_i and lam_i = 1/(V_i V_{i-1})."""
     return spec("v-inverse", "v-inverse")

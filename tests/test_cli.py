@@ -555,3 +555,51 @@ def test_closed_stdout_is_not_an_error():
     assert proc.wait(timeout=120) == 0
     assert first == b"(1,1,1,1,1,1,1,1,1,1)\n"
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "-1", "--m", "1", "--k", "1"],
+    ["--n", "1", "--m", "-1", "--k", "1"],
+    ["--n", "-1", "--m", "1", "--k", "1", "--emit", "list"],
+])
+def test_sequence_rpp_negative_shape_is_usage_error(argv, capsys):
+    # the skew staircase does not exist: no count of 1 for its "empty filling"
+    code, out, err = run_cli(["sequence", "rpp", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    code, out, _ = run_cli(["sequence", "rpp", "--n", "1", "--m", "0", "--k", "1"], capsys)
+    assert code == 0 and data_lines(out) == ["1"]   # the empty shape's one filling
+
+
+@pytest.mark.parametrize("pin", [["--r", "1"], ["--s", "2"]])
+def test_sequence_alt_with_one_endpoint_is_usage_error(pin, capsys):
+    # one pin alone was dropped silently, printing the unpinned count 5
+    code, out, err = run_cli(["sequence", "alt", "--n", "3", "--k", "2", *pin], capsys)
+    assert (code, out) == (2, "")
+    assert "--r and --s" in err
+    code, out, _ = run_cli(["sequence", "alt", "--n", "3", "--k", "2", "--r", "1",
+                            "--s", "2"], capsys)
+    assert code == 0 and data_lines(out) == ["1"]
+
+
+def _golden_runs():
+    """(argv, exit code, rows) of each run in verify_golden.txt."""
+    from pathlib import Path
+    runs = []
+    for line in (Path(__file__).parent / "verify_golden.txt").read_text().splitlines():
+        if line.startswith("$ "):
+            argv, code = line[2:].split("  # exit ")
+            argv = argv.split()   # verify <identity> <flags> --format json
+            runs.append(pytest.param(argv, int(code), [], id=" ".join(argv[1:-2])))
+        elif line and not line.startswith("#"):
+            runs[-1].values[2].append(line)
+    return runs
+
+
+@pytest.mark.parametrize("argv, code, rows", _golden_runs())
+def test_verify_json_golden(argv, code, rows, capsys):
+    # every status and SKIPPED reason of small grids, the nonpositive edges included
+    got_code, out, err = run_cli(argv, capsys)
+    got = [f"{r['params']} {r['status']} {r['witness']}".rstrip()
+           for r in json.loads(out)["results"]]
+    assert (got_code, got, err) == (code, rows, "")

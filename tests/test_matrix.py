@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.matrix import (
@@ -11,6 +13,7 @@ from negmom.matrix import (
     SingularMatrixError,
     adjugate,
     determinant,
+    hankel_determinant,
     matrix_inverse,
     minor,
 )
@@ -130,3 +133,29 @@ def test_negative_power_points_to_adjugate_stepping():
     with pytest.raises(ValueError, match="adjugate_vectors"):
         Matrix([[2]]) ** -1
     assert Matrix([[2]]) ** 0 == Matrix.identity(1)
+
+
+_SMALL = st.integers(-4, 4)
+# int, Fraction and symbolic MultiPoly entries: c * b_i^e
+_HANKEL_ENTRY = st.one_of(
+    _SMALL,
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.builds(lambda c, i, e: c * P.b(i) ** e, _SMALL, st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(1, 4), data=st.data())
+def test_hankel_determinant_matches_the_full_grid(m, data):
+    c = data.draw(st.lists(_HANKEL_ENTRY, min_size=2 * m - 1, max_size=2 * m - 1), label="c")
+    grid = Matrix([[c[i + j] for j in range(m)] for i in range(m)])
+    assert hankel_determinant(c) == determinant(grid)
+
+
+def test_hankel_determinant_edges():
+    assert hankel_determinant([]) == ONE   # the empty grid
+    assert hankel_determinant([P.b(0)]) == P.b(0)
+    assert hankel_determinant([1, 2, 5]) == MultiPoly.const(1)   # 1*5 - 2*2
+    for even in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="odd number"):
+            hankel_determinant(even)

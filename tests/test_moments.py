@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 
 from negmom import poly as P
+from negmom import reciprocity
 from negmom import weights as W
 from negmom.matrix import adjugate, determinant
 from negmom.moments import (
     IllDefinedError,
     adjugate_vectors,
     bounded_moment,
-    extended_moment,
     moment_gf,
-    moment_sequence,
+    moment_vectors,
     negative_cf,
     negative_moment,
     negative_moment_gf,
@@ -26,10 +26,10 @@ from negmom.moments import (
     viennot_cf,
     well_defined,
 )
-from negmom.paths import motzkin_factors, motzkin_paths, weight_sum
+from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_factors, weight_sum
 from negmom.poly import MultiPoly
 from negmom.ratfunc import RatFunc, reverse_gf, series_expand
-from negmom.reciprocity import pv_closed_forms
+from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
 
 SYM = W.symbolic()
 Z1 = W.zero_one()
@@ -57,7 +57,7 @@ def test_bounded_moment_base_cases():
 
 
 def test_bounded_dyck_counts():
-    seq = moment_sequence(3, Z1, 8)
+    seq = [u[0] for u in moment_vectors(3, Z1, 0, 8)]
     assert [seq[2 * n].as_fraction() for n in range(1, 5)] == [1, 2, 5, 13]
 
 
@@ -82,7 +82,7 @@ def test_zeros_of_special_families():
     zl = W.spec("zero", "symbolic")
     for k in range(0, 3):
         assert orth_poly(2 * k + 1, zl).subs({P.X_VAR: 0}).is_zero()
-    bsq = W.b_squared()
+    bsq = W.spec("symbolic", "bsq")
     for k in range(0, 3):
         assert orth_poly(3 * k + 2, bsq).subs({P.X_VAR: 0}).is_zero()
 
@@ -110,7 +110,7 @@ def test_viennot_cf_equals_gf():
 
 def test_well_defined_closed_forms():
     zl = W.spec("zero", "symbolic")
-    bsq = W.b_squared()
+    bsq = W.spec("symbolic", "bsq")
     for k in range(0, 11):
         assert well_defined(k, zl)[0] == (k % 2 == 1)
         assert well_defined(k, bsq)[0] == (k % 3 != 1)
@@ -170,7 +170,7 @@ def test_same_spec_name_different_weights_get_their_own_values():
 
 
 def test_well_defined_certificate_is_p_k_plus_1_at_zero():
-    for spec in (SYM, Z1, ONES, W.v_inverse(), W.b_squared(),
+    for spec in (SYM, Z1, ONES, W.v_inverse(), W.spec("symbolic", "bsq"),
                  W.spec("custom:[1,2]", "symbolic")):
         for k in range(6):
             ok, cert = well_defined(k, spec)
@@ -208,9 +208,10 @@ def test_negative_gf_displayed_forms():
 
 
 def test_extended_moment_dispatch():
-    assert extended_moment(0, 0, 0, 3, Z1) == MultiPoly.const(1)
-    assert extended_moment(4, 0, 0, 3, Z1).as_fraction() == 2
-    assert extended_moment(-2, 0, 0, 3, Z1).as_fraction() == 2
+    # mu_j at any integer j: forward for j >= 0, backward below
+    assert bounded_moment(0, 0, 0, 3, Z1) == MultiPoly.const(1)
+    assert bounded_moment(4, 0, 0, 3, Z1).as_fraction() == 2
+    assert negative_moment(2, 0, 0, 3, Z1).as_fraction() == 2
 
 
 def test_usmani_inverse_symbolic():
@@ -247,21 +248,26 @@ def test_v_inverse_chi_vanishing_pattern():
 
 
 def test_pv_closed_forms_examples():
-    lhs, rhs = pv_closed_forms("2PV", 1, 1)
-    assert lhs == rhs == P.V(0) * P.V(1)
-    for which in ("2PV", "3PV", "3PV-modified", "weighted-Alt"):
-        for n in range(1, 4):
-            for k in (1, 2):
-                lhs, rhs = pv_closed_forms(which, n, k)
-                assert lhs == rhs, (which, n, k)
+    assert negative_moment(2, 0, 0, 1, W.dyck_v()) == P.V(0) * P.V(1)
+    assert check_pv2(1, 1).passed   # so the 2-PV sum is V0*V1 too
+    for n in range(1, 4):
+        for k in (1, 2):
+            # check_pv2 holds the 2-PV and the weighted-Alt pair
+            assert check_pv2(n, k).passed, (n, k)
+            for check in (check_pv3a, check_pv3b):
+                c = check(n, k)
+                assert c.passed and c.lhs == c.rhs, (check.__name__, n, k)
 
 
 def test_pv_rs_reduces_to_plain():
-    # endpoint-pinned identity at r = s = 0 against the plain one, n >= 2
+    # endpoint-pinned identity at r = s = 0 against the plain one, n >= 2:
+    # the same moment, and the sign +1 times V0 = (V_0..V_s)/(V_0..V_{r-1})
     for n in range(2, 5):
-        a = pv_closed_forms("3PV", n, 1)
-        b = pv_closed_forms("3PV-rs", n, 1, 0, 0)
-        assert a[0] == b[0] and a[1] == b[1]
+        plain = check_pv3a(n, 1)
+        assert plain.lhs == reciprocity._pinned_pv3_moment(n, 0, 0, 2, unit_weights=False)
+        pinned_sum = weight_sum(pv_sequences(3, n - 1, 2, r=0, s=0), seq_v_factors)
+        assert plain.rhs == reciprocity._v_ratio(0, 0) * pinned_sum
+        assert reciprocity.check_pv3_rs(n, 1, 0, 0).passed
 
 
 def test_pv_hypothesis_violation():

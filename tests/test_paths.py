@@ -23,7 +23,6 @@ from negmom.paths import (
     rpp_factors,
     rpp_fillings,
     rpp_total,
-    rpp_transpose,
     schroeder_factors,
     schroeder_paths,
     seq_av_factors,
@@ -90,8 +89,8 @@ def point_factors(steps, r=0):
 
 def test_point_weight_relation():
     # wt(pi; b, b^2) = (b0..b_{r-1} / b0..b_s) pwt(pi; b) on small grids
-    from negmom.weights import b_squared
-    bsq = b_squared()
+    from negmom.weights import spec
+    bsq = spec("symbolic", "bsq")   # lam_i = b_{i-1} * b_i
     assert point_factors(("U", "H", "D"), 1) == [("b", 1), ("b", 2), ("b", 2), ("b", 1)]
     for n in range(0, 6):
         for r in range(0, 3):
@@ -273,7 +272,7 @@ def test_rpp_transpose_symmetry():
     for (n, m, k) in ((0, 1, 2), (1, 1, 2), (2, 1, 1), (0, 2, 1)):
         fills = list(rpp_fillings(n, m, k))
         keyed = {tuple(sorted(f.items())) for f in fills}
-        transposed = {tuple(sorted(rpp_transpose(f).items())) for f in fills}
+        transposed = {tuple(sorted(((j, i), v) for (i, j), v in f.items())) for f in fills}
         assert keyed == transposed
 
 

@@ -14,7 +14,6 @@ from negmom.ratfunc import (
     RatFunc,
     ReversalError,
     cf_eval,
-    double_reversal,
     over_power,
     reverse_gf,
     series_expand,
@@ -200,11 +199,6 @@ def test_reverse_involution_on_admissible_class():
         if f.is_poly() or f.den.degree(P.X_VAR) <= f.num.degree(P.X_VAR):
             continue
         assert reverse_gf(reverse_gf(f)) == f
-
-
-def test_double_reversal_identity():
-    f = RatFunc(1 + X, 1 - X - X * X)
-    assert double_reversal(double_reversal(f)) == f
 
 
 def test_cf_depth_one():

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from negmom import reciprocity
 from negmom import weights as W
-from negmom.moments import IllDefinedError, adjugate_vectors, negative_moment, well_defined
+from negmom.matrix import hankel_determinant
+from negmom.moments import (
+    IllDefinedError,
+    adjugate_vectors,
+    bounded_moment,
+    negative_moment,
+    negative_moments,
+    well_defined,
+)
 from negmom.poly import MultiPoly
 from negmom.reciprocity import (
     alt_transfer_matrix,
@@ -34,7 +42,6 @@ from negmom.reciprocity import (
     check_usmani,
     check_values,
     check_vv_inverse,
-    det_moment_grid,
     reversed_special_matrix,
     rpp_prefactor_exponent,
 )
@@ -63,20 +70,22 @@ def test_ck_rs_small():
 
 
 def test_det_moment_grid_edges():
-    sym = W.symbolic()
-    assert det_moment_grid("positive", 2, 0, 1, sym) == MultiPoly.const(1)
-    assert det_moment_grid("negative", 2, 1, 0, sym) == MultiPoly.const(1)
-    with pytest.raises(ValueError):
-        det_moment_grid("sideways", 1, 1, 1, sym)
+    # an empty grid (k = 0 forward, m = 0 backward) is 1 and computes no moment
+    assert hankel_determinant([]) == MultiPoly.const(1)
+    assert reciprocity._moment_run(-1, W.symbolic(), 2, 1, 0) == []
     with pytest.raises(IllDefinedError):
-        det_moment_grid("negative", 1, 1, 2, W.zero_one())  # even bound
+        negative_moments(3, 0, 0, 2, W.zero_one())  # even bound: no backward grid
 
 
 def test_det_moment_grid_matches_brute():
-    # 1x1 grids are plain moments
+    # 1x1 grids are plain moments: the forward mu_{n+2m-2} of main at bound k+m-1
     sym = W.symbolic()
-    from negmom.moments import bounded_moment
-    assert det_moment_grid("positive", 3, 1, 1, sym) == bounded_moment(3, 0, 0, 1, sym)
+    assert check_main_reciprocity(3, 1, 1, sym).lhs.num == bounded_moment(3, 0, 0, 1, sym)
+    # a run across index 0 joins backward and forward moments
+    z1 = W.zero_one()
+    assert reciprocity._moment_run(3, z1, -4, 2, 5) == \
+        [negative_moment(j, 0, 0, 3, z1) for j in (4, 2)] + \
+        [bounded_moment(j, 0, 0, 3, z1) for j in (0, 2, 4)]
 
 
 def test_main_reciprocity_symbolic_small():
@@ -132,7 +141,7 @@ def test_reversed_spec_reverses_indices():
         assert [twice.b(i) for i in range(4)] == [base.b(i) for i in range(4)]
         assert [twice.lam(i) for i in (1, 2, 3)] == [base.lam(i) for i in (1, 2, 3)]
     # at K = 2k-1, reversing av_lambda swaps A_j <-> V_{k+1-j}: the
-    # weighted-Alt pair of pv_closed_forms is stated on these weights
+    # weighted-Alt pair of check_pv2 is stated on these weights
     av = W.av_lambda()
     for k in (1, 2, 3):
         swap = {}
@@ -206,6 +215,21 @@ def test_rpp_modes():
         assert check_rpp_identity(n, m, k, mode="symbolic-VA").passed
     for (n, m) in ((1, 1), (2, 1)):
         assert check_rpp_identity(n, m, 0, mode="q-unbounded", trunc=6).passed
+
+
+def test_rpp_right_side_weighs_each_hankel_entry_once(monkeypatch):
+    # the m x m grid has 2m-1 distinct entries: 5 weighted sums at m = 3, not 9
+    real = reciprocity.paths.weight_sum
+    calls = []
+
+    def counting(objs, factors, *rest):
+        calls.append(factors)
+        return real(objs, factors, *rest)
+
+    monkeypatch.setattr(reciprocity.paths, "weight_sum", counting)
+    assert check_rpp_identity(0, 3, 0).passed
+    assert sum(f is reciprocity.paths.seq_av_factors for f in calls) == 5
+    assert len(calls) == 1 + 5   # the left side's one sum over fillings
 
 
 def test_special_matrices():
