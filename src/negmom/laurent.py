@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 from .poly import MultiPoly
-from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand, x_coeffs
+from .ratfunc import RatFunc, cf_eval, invert_x, reverse_gf, series_expand
 from .weights import WeightSpec, laurent_ones
 
 Value = Union[MultiPoly, RatFunc]
@@ -38,11 +38,8 @@ def laurent_poly(n: int, spec: WeightSpec) -> MultiPoly:
 
 
 def laurent_inverted(n: int, spec: WeightSpec) -> MultiPoly:
-    p = laurent_poly(n, spec)
-    out = MultiPoly.zero()
-    for e, c in x_coeffs(p).items():
-        out = out + c * MultiPoly.variable("x", exp=n - e)
-    return out
+    """L*_n(x) = x^n L_n(1/x)."""
+    return invert_x(laurent_poly(n, spec), n)
 
 
 def sigma_gf(k: int, spec: WeightSpec) -> RatFunc:

@@ -4,9 +4,11 @@ Determinants of polynomial matrices use fraction-free Bareiss
 elimination (with row pivoting on symbolic zeros), or cofactor expansion
 for small matrices of large polynomials; matrices of rational functions
 use cofactor expansion.  The adjugate stays in the polynomial ring
-(A adj(A) = det(A) I), so the moment engine steps inverse powers with it
-and divides by a power of det(A) once; ``matrix_inverse`` materializes
-adj(A) / det(A) as reduced RatFunc entries for the minor-identity check.
+(A adj(A) = det(A) I); ``matrix_inverse`` materializes adj(A) / det(A) as
+reduced RatFunc entries for the minor-identity check.  The moment engine
+uses neither: its transfer matrix is tridiagonal, and
+``moments.usmani_inverse`` gives its adjugate and determinant from the
+continuants.
 Every moment-grid determinant of the reciprocity identities is a Hankel
 determinant det(c_{i+j}), built by ``hankel_determinant`` from the 2m-1
 entries of its sequence: each entry is computed once, and a condensation
@@ -78,22 +80,6 @@ class Matrix:
                 row.append(acc)
             out.append(row)
         return Matrix(out)
-
-    def __pow__(self, n: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("powers need a square matrix")
-        if n < 0:
-            raise ValueError("negative matrix powers are not provided: step "
-                             "with moments.adjugate_vectors and divide by a "
-                             "power of the determinant once")
-        result = Matrix.identity(self.rows)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
 
     def map(self, fn: Callable) -> "Matrix":
         return Matrix([[fn(e) for e in row] for row in self.data])

@@ -7,28 +7,30 @@ n-th power of the tridiagonal matrix
 
 is the weighted count of height-bounded Motzkin paths from height r to
 height s.  The backward side extends that sequence along its linear
-recurrence; three independent routes are provided (generating-function
-reversal, inverse-matrix powers, explicit recurrence stepping) and are
-tested against each other and against the path oracles.
+recurrence, by the paper's two routes: reversing the generating function
+(``negative_moments``), and stepping the inverse A^{-1} = adj(A) / det A
+(``adjugate_vectors``).  A has one inverse here, ``usmani_inverse``: the
+leading and trailing continuants give adj(A) and det A, and the same
+continuant loop gives ``well_defined``'s P_{k+1}(0) = (-1)^{k+1} det A.
+Stepping the recurrence itself is kept in the tests as a third route.
 
 Every backward value is a quotient whose only denominator is a power of
-P_{k+1}(0) = +-det A.  Each route keeps its numerators in the polynomial
-ring (the series by ``series_expand``, the matrix route by stepping with
-adj(A), the recurrence by scaling its window) and divides by that power
-once, so a value is a MultiPoly when it is polynomial and a reduced
-RatFunc otherwise.  The generating-function route is one gcd-free series
-expansion per (r, s, k, spec): ``negative_moments`` expands the
-unreduced reversed gf -x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a
-whole table from it.
+P_{k+1}(0) = +-det A.  Both routes keep their numerators in the
+polynomial ring (the series by ``series_expand``, the matrix route by
+stepping with adj(A)) and divide by that power once, so a value is a
+MultiPoly when it is polynomial and a reduced RatFunc otherwise.  The
+generating-function route is one gcd-free series expansion per
+(r, s, k, spec): ``negative_moments`` expands the unreduced reversed gf
+-x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a whole table from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
-from .matrix import Matrix, SingularMatrixError, adjugate, determinant
+from .matrix import Matrix
 from .poly import MultiPoly
-from .ratfunc import RatFunc, cf_eval, over_power, series_expand, x_coeffs
+from .ratfunc import RatFunc, cf_eval, invert_x, series_expand
 from .weights import WeightSpec
 
 Value = Union[MultiPoly, RatFunc]
@@ -93,14 +95,11 @@ def adjugate_vectors(k: int, spec: WeightSpec, r: int,
     """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
     ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
     e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
-    caller; a singular A raises IllDefinedError."""
+    caller.  (adj A, det A) come from ``usmani_inverse``, which raises
+    IllDefinedError on a singular A."""
     if not 0 <= r <= k:
         raise IndexError(f"start height {r} outside [0, {k}]")
-    A = transfer_matrix(k, spec)
-    det = determinant(A)
-    if det.is_zero():
-        raise IllDefinedError(f"transfer matrix singular for {spec.name}", det)
-    C = adjugate(A)
+    C, det = usmani_inverse(k, spec)
     u = [MultiPoly.const(1) if i == r else MultiPoly.zero() for i in range(k + 1)]
     out = [u]
     for _ in range(t_max):
@@ -136,42 +135,33 @@ def orth_poly(n: int, spec: WeightSpec) -> MultiPoly:
 
 def inverted_poly(n: int, spec: WeightSpec) -> MultiPoly:
     """P*_n(x) = x^n P_n(1/x)."""
-    p = orth_poly(n, spec)
-    out = MultiPoly.zero()
-    for e, c in x_coeffs(p).items():
-        out = out + c * MultiPoly.variable("x", exp=n - e)
-    return out
-
-
-def shifted_inverted_poly(j: int, m: int, spec: WeightSpec) -> MultiPoly:
-    """delta^j P*_m: the inverted polynomial built on the j-shifted sequences."""
-    return inverted_poly(m, spec.shift(j))
+    return invert_x(orth_poly(n, spec), n)
 
 
 def moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    """Rational generating function of (mu_{n,r,s}^{<=k})_{n>=0} in x."""
+    """Rational generating function of (mu_{n,r,s}^{<=k})_{n>=0} in x;
+    the numerator's second factor is the inverted polynomial of the
+    shifted sequences."""
     if not (0 <= r <= k and 0 <= s <= k):
         raise IndexError("heights must lie in [0, k]")
     den = inverted_poly(k + 1, spec)
     if r <= s:
-        num = (_X ** (s - r)) * inverted_poly(r, spec) * shifted_inverted_poly(s + 1, k - s, spec)
+        num = (_X ** (s - r)) * inverted_poly(r, spec) * inverted_poly(k - s, spec.shift(s + 1))
     else:
         prod = MultiPoly.const(1)
         for i in range(s + 1, r + 1):
             prod = prod * spec.lam(i)
         num = (_X ** (r - s)) * inverted_poly(s, spec) \
-            * shifted_inverted_poly(r + 1, k - r, spec) * prod
+            * inverted_poly(k - r, spec.shift(r + 1)) * prod
     return RatFunc(num, den)
 
 
-def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec,
-                       reduce: bool = True) -> RatFunc:
+def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
     """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x:
     the forward gf reversed, f(x) -> -f(1/x), is
     -x P_r P^{(s+1)}_{k-s} / P_{k+1} (for r > s: -x P_s P^{(r+1)}_{k-r}
-    lam_{s+1}..lam_r / P_{k+1}).  Checks the domain, then the heights.
-    ``reduce=False`` keeps that fraction as built, with no gcd; its series
-    is the same."""
+    lam_{s+1}..lam_r / P_{k+1}), kept as built: no gcd runs.  Checks the
+    domain, then the heights."""
     _require_backward(k, spec)
     if not (0 <= r <= k and 0 <= s <= k):
         raise IndexError("heights must lie in [0, k]")
@@ -183,7 +173,7 @@ def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec,
         for i in range(s + 1, r + 1):
             prod = prod * spec.lam(i)
         num = -_X * orth_poly(s, spec) * orth_poly(k - r, spec.shift(r + 1)) * prod
-    return RatFunc(num, den, reduce=reduce)
+    return RatFunc(num, den, reduce=False)
 
 
 def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
@@ -202,16 +192,24 @@ def negative_cf(k: int, spec: WeightSpec) -> RatFunc:
     return cf_eval(nums, dens)
 
 
-def well_defined(k: int, spec: WeightSpec) -> Tuple[bool, MultiPoly]:
-    """Whether the backward extension exists; certificate is P_{k+1}(0),
-    run through the three-term recurrence at x = 0:
-    p_{i+1} = -b_i p_i - lam_i p_{i-1}."""
-    prev, cert = MultiPoly.zero(), MultiPoly.const(1)
+def _continuants(k: int, spec: WeightSpec) -> List[MultiPoly]:
+    """[theta_0, ..., theta_{k+1}]: the leading principal minors of
+    A(k; b, lam), theta_{i+1} = b_i theta_i - lam_i theta_{i-1}.  This is
+    the three-term recurrence at x = 0, theta_i = (-1)^i P_i(0)."""
+    theta = [MultiPoly.const(1)]
     for i in range(k + 1):
-        nxt = -spec.b(i) * cert
+        t = spec.b(i) * theta[i]
         if i >= 1:
-            nxt = nxt - spec.lam(i) * prev
-        prev, cert = cert, nxt
+            t = t - spec.lam(i) * theta[i - 1]
+        theta.append(t)
+    return theta
+
+
+def well_defined(k: int, spec: WeightSpec) -> Tuple[bool, MultiPoly]:
+    """Whether the backward extension exists; certificate is
+    P_{k+1}(0) = (-1)^{k+1} det A, from ``_continuants``."""
+    det = _continuants(k, spec)[k + 1]
+    cert = det if k % 2 else -det
     return (not cert.is_zero(), cert)
 
 
@@ -222,98 +220,53 @@ def _require_backward(k: int, spec: WeightSpec) -> None:
             f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
 
 
-# -- negative moments: three routes ---------------------------------------------
+# -- negative moments ---------------------------------------------------------------
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
     """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k) from one series
     expansion of the unreduced ``negative_moment_gf``: no gcd runs, and
     ``series_expand`` divides each coefficient by its power of P_{k+1}(0)
     once."""
-    return series_expand(negative_moment_gf(r, s, k, spec, reduce=False), n_max + 1)[1:]
+    return series_expand(negative_moment_gf(r, s, k, spec), n_max + 1)[1:]
 
 
-def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec,
-                    method: str = "gf-reverse") -> Value:
-    """mu_{-n,r,s}^{<=k}; methods: gf-reverse (one gcd-free expansion of
-    the reversed generating function, see ``negative_moments``; prefer that
-    for a whole table), matrix-inverse, recurrence."""
+def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
+    """mu_{-n,r,s}^{<=k} from ``negative_moments``; prefer that for a
+    whole table.  The matrix route is ``adjugate_vectors``."""
     if n < 1:
         raise ValueError("negative index n must be >= 1")
-    if method == "gf-reverse":
-        return negative_moments(n, r, s, k, spec)[n - 1]   # checks the domain first
-    _require_backward(k, spec)
-    if method == "matrix-inverse":
-        det, vecs = adjugate_vectors(k, spec, r, n)
-        return over_power(vecs[n][s], det, n)
-    if method == "recurrence":
-        return _recurrence_extension(n, r, s, k, spec)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _recurrence_extension(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
-    """Step the reduced-denominator recurrence backwards to index -n,
-    fraction-free: one division by q_d^n at the end."""
-    f = moment_gf(r, s, k, spec)
-    if f.is_zero():
-        return MultiPoly.zero()
-    qu = x_coeffs(f.den)
-    d = max(qu)
-    if d == 0:
-        raise IllDefinedError("moment sequence admits no homogeneous recurrence",
-                              well_defined(k, spec)[1])
-    # window holds q_d^i [c_{-i}, ..., c_{d-1-i}] after i steps; den(0) = 1,
-    # so the forward window is polynomial
-    window: List[MultiPoly] = series_expand(f, d)
-    qd = qu[d]
-    for _ in range(n):
-        # homogeneous relation sum_{j=0}^{d} q_j c_{m-j} = 0 defines c_{m-d}
-        acc = MultiPoly.zero()
-        for j in range(0, d):
-            qj = qu.get(j)
-            if qj is not None:
-                acc = acc - qj * window[d - 1 - j]
-        window = [acc] + [w * qd for w in window[:-1]]
-    return over_power(window[0], qd, n)
+    return negative_moments(n, r, s, k, spec)[n - 1]   # checks the domain first
 
 
 # -- closed-form tridiagonal inverses ---------------------------------------------
 
 def usmani_inverse(k: int, spec: WeightSpec) -> Tuple[Matrix, MultiPoly]:
-    """Tridiagonal inverse A^{-1} = N / theta_{k+1} from the forward/backward
-    continuant recurrences, as the polynomial pair (N, theta_{k+1}) with
-    A N = theta_{k+1} I; theta_{k+1} = det A and N = adj(A).
+    """Tridiagonal inverse A^{-1} = N / theta_{k+1} from the continuant
+    recurrences, as the polynomial pair (N, theta_{k+1}) with
+    A N = theta_{k+1} I; theta_{k+1} = det A and N = adj(A).  A singular A
+    raises IllDefinedError with det A as its certificate.
 
-    theta_i runs the leading principal minors and phi_i the trailing ones;
-    N_{ij} is (-1)^{i+j} theta_i phi_{j+2} on and above the diagonal, with
-    the product lam_{j+1}..lam_i attached below it.
+    theta_i runs the leading principal minors and phi_i the trailing ones,
+    phi_{j+2} = det A[j+1..k], which are the leading minors of the
+    index-reversed matrix; N_{ij} is (-1)^{i+j} theta_i phi_{j+2} on and
+    above the diagonal, with the product lam_{j+1}..lam_i attached below it.
     """
-    theta: List[MultiPoly] = [MultiPoly.const(1)]
-    for i in range(1, k + 2):
-        t = spec.b(i - 1) * theta[i - 1]
-        if i >= 2:
-            t = t - spec.lam(i - 1) * theta[i - 2]
-        theta.append(t)
+    theta = _continuants(k, spec)
     det = theta[k + 1]
     if det.is_zero():
-        raise SingularMatrixError("theta_{k+1} = 0: matrix not invertible",
-                                  determinant=det)
-    phi: Dict[int, MultiPoly] = {k + 2: MultiPoly.const(1), k + 3: MultiPoly.zero()}
-    for i in range(k + 1, 0, -1):
-        p = spec.b(i - 1) * phi[i + 1]
-        if i <= k:
-            p = p - spec.lam(i) * phi[i + 2]
-        phi[i] = p
+        raise IllDefinedError(f"transfer matrix singular for {spec.name}", det)
+    phi = _continuants(k, spec.reversed(k))   # phi_{j+2} = phi[k - j]
     rows = []
     for i in range(k + 1):
         row = []
         for j in range(k + 1):
             if i <= j:
-                num = theta[i] * phi[j + 2]
+                num = theta[i] * phi[k - j]
             else:
                 prod = MultiPoly.const(1)
                 for t in range(j + 1, i + 1):
                     prod = prod * spec.lam(t)
-                num = prod * theta[j] * phi[i + 2]
+                num = prod * theta[j] * phi[k - i]
             if (i + j) % 2:
                 num = -num
             row.append(num)

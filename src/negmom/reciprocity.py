@@ -19,6 +19,7 @@ from . import paths
 from .laurent import schroeder_count_reciprocity, sigma_moment, sigma_negative
 from .matrix import Matrix, determinant, hankel_determinant
 from .moments import (
+    IllDefinedError,
     adjugate_vectors,
     bounded_moment,
     moment_vectors,
@@ -28,7 +29,6 @@ from .moments import (
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
-    well_defined,
 )
 from .poly import Q_VAR, MultiPoly, poly_sum
 from .ratfunc import RatFunc, cf_eval, over_power, series_expand
@@ -143,31 +143,35 @@ def _moment_run(bound: int, spec: WeightSpec, start: int, step: int,
 
 def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> IdentityCheck:
     """Forward k x k grid determinant against the lam-power and det-power
-    weighted, index-reversed backward m x m grid determinant."""
+    weighted, index-reversed backward m x m grid determinant, as one
+    polynomial equality.
+
+    With K = k+m-1 and d = det A, the backward grid is stepped with adj(A)
+    of ``spec.reversed(K)`` (reversal keeps det A), so its Hankel
+    determinant det_h is d^(mn+m(m-1)) det(mu_{-n-i-j}).  The identity's
+    d^(n+2m-2) cancels all of that power but d^j, j = (m-1)(n+m-2), and
+    what is checked is
+
+        lhs d^j prod_{i>k} lam_i^(i-k) = det_h prod_{i<k} lam_i^(k-i).
+    """
     params = {"n": n, "k": k, "m": m, "spec": spec.name}
     ident = "main"
     if n < 1 or k < 1 or m < 1:
         return skipped(ident, params, "needs positive n, k, m")
     K = k + m - 1
-    ok, cert = well_defined(K, spec)
-    if not ok:
+    try:
+        d, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
+    except IllDefinedError:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
     lhs = hankel_determinant(_moment_run(K, spec, n + 2 * m - 2, 1, 2 * k - 1))
-    d = cert if K % 2 else -cert   # P_{K+1}(0) = det(-A) = (-1)^(K+1) det A
-    # the backward grid and its det A on the reversed weights b_{K-i}, lam_{K+1-i}
-    d_rev, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
-    det_h_rev = hankel_determinant([u[0] for u in vecs[n:]])
-    denom_power = m * n + m * (m - 1)
-    rhs_num = d ** (n + 2 * m - 2) * det_h_rev
-    rhs_den = d_rev ** denom_power
+    lhs = lhs * d ** ((m - 1) * (n + m - 2))
+    rhs = hankel_determinant([u[0] for u in vecs[n:]])
     for i in range(1, K + 1):
-        e = k - i
-        if e >= 0:
-            rhs_num = rhs_num * spec.lam(i) ** e
-        else:
-            rhs_den = rhs_den * spec.lam(i) ** (-e)
-    return check_values(ident, params, RatFunc(lhs, reduce=False),
-                        RatFunc(rhs_num, rhs_den, reduce=False))
+        if i > k:
+            lhs = lhs * spec.lam(i) ** (i - k)
+        elif i < k:
+            rhs = rhs * spec.lam(i) ** (k - i)
+    return check_values(ident, params, lhs, rhs)
 
 
 def check_theorem15(n: int, k: int, m: int) -> IdentityCheck:
@@ -203,7 +207,7 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
                 sums[-t] = over_power(poly_sum(u), det, t)
     lhs = hankel_determinant([sums[j] for j in js])
     rhs = hankel_determinant([paths.count_alt(n + t, K) for t in range(2 * m - 1)])
-    sign = (-1) ** ((comb(k, 2) + comb(m, 2)) * (n + 1))
+    sign = (-1) ** ((comb(k, 2) + comb(m, 2)) * (n + 1) % 2)   # n + 1 may be negative
     return check_values("conj50", params, lhs, sign * rhs)
 
 
@@ -519,7 +523,7 @@ def _pinned_pv3_gf(r: int, s: int, bound: int, unit_weights: bool) -> RatFunc:
     differ only in n share it.  The key holds integers and a flag set in
     this module, never a caller's ``WeightSpec``: specs compare by name."""
     spec = one_one() if unit_weights else v_inverse()
-    return negative_moment_gf(r, s, bound, spec, reduce=False)
+    return negative_moment_gf(r, s, bound, spec)
 
 
 def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -> Value:

@@ -46,7 +46,7 @@ def test_det_transpose_and_equal_rows():
     for n in (2, 3, 4):
         for _ in range(10):
             M = rand_matrix(rng, n)
-            assert determinant(M) == determinant(M.transpose())
+            assert determinant(M) == determinant(Matrix(list(zip(*M.data))))
             rows = [list(r) for r in M.data]
             rows[-1] = rows[0]
             assert determinant(Matrix(rows)).is_zero()
@@ -127,12 +127,6 @@ def test_adjugate_relation():
     for i in range(3):
         for j in range(3):
             assert prod[i, j] == (det if i == j else MultiPoly.zero())
-
-
-def test_negative_power_points_to_adjugate_stepping():
-    with pytest.raises(ValueError, match="adjugate_vectors"):
-        Matrix([[2]]) ** -1
-    assert Matrix([[2]]) ** 0 == Matrix.identity(1)
 
 
 _SMALL = st.integers(-4, 4)

@@ -28,7 +28,7 @@ from negmom.moments import (
 )
 from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_factors, weight_sum
 from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc, reverse_gf, series_expand
+from negmom.ratfunc import RatFunc, over_power, reverse_gf, series_expand, x_coeffs
 from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
 
 SYM = W.symbolic()
@@ -131,6 +131,36 @@ def _as_rat(v):
     return RatFunc(v) if isinstance(v, MultiPoly) else v
 
 
+def _matrix_inverse_route(n, r, s, k, spec):
+    """mu_{-n,r,s}^{<=k} as e_r^T adj(A)^n e_s / det(A)^n."""
+    det, vecs = adjugate_vectors(k, spec, r, n)
+    return over_power(vecs[n][s], det, n)
+
+
+def _recurrence_route(n, r, s, k, spec):
+    """Step the reduced-denominator recurrence backwards to index -n,
+    fraction-free: one division by q_d^n at the end."""
+    f = moment_gf(r, s, k, spec)
+    if f.is_zero():
+        return MultiPoly.zero()
+    qu = x_coeffs(f.den)
+    d = max(qu)
+    assert d > 0, "the moment sequence admits no homogeneous recurrence"
+    # window holds q_d^i [c_{-i}, ..., c_{d-1-i}] after i steps; den(0) = 1,
+    # so the forward window is polynomial
+    window = series_expand(f, d)
+    qd = qu[d]
+    for _ in range(n):
+        # homogeneous relation sum_{j=0}^{d} q_j c_{m-j} = 0 defines c_{m-d}
+        acc = MultiPoly.zero()
+        for j in range(0, d):
+            qj = qu.get(j)
+            if qj is not None:
+                acc = acc - qj * window[d - 1 - j]
+        window = [acc] + [w * qd for w in window[:-1]]
+    return over_power(window[0], qd, n)
+
+
 def test_negative_routes_agree():
     # the gf-reverse table (one expansion) entry by entry against the
     # matrix-inverse and recurrence routes, r > s (a lam product) included;
@@ -145,10 +175,10 @@ def test_negative_routes_agree():
                 assert len(table) == n_max
                 for n in range(1, n_max + 1):
                     assert negative_moment(n, r, s, kk, spec) == table[n - 1]
-                    for method in ("matrix-inverse", "recurrence"):
-                        want = negative_moment(n, r, s, kk, spec, method=method)
+                    for route in (_matrix_inverse_route, _recurrence_route):
+                        want = route(n, r, s, kk, spec)
                         assert _as_rat(table[n - 1]) == _as_rat(want), \
-                            (spec.name, kk, n, r, s, method)
+                            (spec.name, kk, n, r, s, route.__name__)
 
 
 def test_negative_moments_checks_the_domain():
@@ -165,7 +195,7 @@ def test_same_spec_name_different_weights_get_their_own_values():
     for spec in (ones, twos, ones):
         for n in (1, 2, 3):
             assert negative_moment(n, 0, 0, 2, spec) == \
-                negative_moment(n, 0, 0, 2, spec, method="matrix-inverse")
+                _matrix_inverse_route(n, 0, 0, 2, spec)
     assert negative_moment(2, 0, 0, 2, ones) != negative_moment(2, 0, 0, 2, twos)
 
 
@@ -215,16 +245,27 @@ def test_extended_moment_dispatch():
 
 
 def test_usmani_inverse_symbolic():
-    for k in range(0, 4):
-        A = transfer_matrix(k, SYM)
-        N, det = usmani_inverse(k, SYM)
-        assert N == adjugate(A) and det == determinant(A)
+    # the continuant inverse against the generic adjugate and determinant,
+    # symbolic and numeric, palindromic or not, singular bounds included
+    for spec in (SYM, Z1, W.v_inverse(), W.spec("custom:[1,2]", "symbolic"),
+                 W.spec("custom:[2,-1,3,1/2,5]", "custom:[1,4,-3,7]"),
+                 W.spec("custom:[1,0,1]", "custom:[2,1/3]"),
+                 W.spec("custom:[3,1,3]", "custom:[2,2]")):
+        for k in range(0, 5):
+            A = transfer_matrix(k, spec)
+            det = determinant(A)
+            assert determinant(transfer_matrix(k, spec.reversed(k))) == det, (spec.name, k)
+            if det.is_zero():
+                with pytest.raises(IllDefinedError):
+                    usmani_inverse(k, spec)
+            else:
+                assert usmani_inverse(k, spec) == (adjugate(A), det), (spec.name, k)
 
 
 def test_usmani_singular_certificate():
-    from negmom.matrix import SingularMatrixError
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(IllDefinedError, match="transfer matrix singular") as err:
         usmani_inverse(1, ONES)
+    assert err.value.certificate.is_zero()
 
 
 def test_v_inverse_closed_form_matches():
