@@ -1,7 +1,7 @@
 """Exact bounded and negative moments of (Laurent bi)orthogonal polynomials,
 verified against brute-force lattice-path and sequence oracles."""
 
-from .matrix import Matrix, SingularMatrixError, determinant, matrix_inverse, minor
+from .matrix import Matrix, determinant
 from .moments import (
     IllDefinedError,
     bounded_moment,
@@ -26,13 +26,10 @@ __all__ = [
     "Matrix",
     "MultiPoly",
     "RatFunc",
-    "SingularMatrixError",
     "WeightSpec",
     "bounded_moment",
     "cf_eval",
     "determinant",
-    "matrix_inverse",
-    "minor",
     "moment_gf",
     "negative_cf",
     "negative_moment",

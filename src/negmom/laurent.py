@@ -15,13 +15,12 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 from .poly import MultiPoly
-from .ratfunc import RatFunc, cf_eval, invert_x, reverse_gf, series_expand
+from .ratfunc import RatFunc, invert_x, reverse_gf, series_expand
 from .weights import WeightSpec, laurent_ones
 
 Value = Union[MultiPoly, RatFunc]
 
 _X = MultiPoly.variable("x")
-_ONE = MultiPoly.const(1)
 
 
 def laurent_poly(n: int, spec: WeightSpec) -> MultiPoly:
@@ -49,13 +48,6 @@ def sigma_gf(k: int, spec: WeightSpec) -> RatFunc:
     return RatFunc(num, den)
 
 
-def sigma_cf(k: int, spec: WeightSpec) -> RatFunc:
-    """Continued fraction 1/(1 - b0 x - a1 x/(1 - b1 x - ...))."""
-    nums = [_ONE] + [spec.a(i) * _X for i in range(1, k + 1)]
-    dens = [_ONE - spec.b(i) * _X for i in range(k + 1)]
-    return cf_eval(nums, dens)
-
-
 def sigma_moment(n: int, k: int, spec: WeightSpec) -> MultiPoly:
     """sigma_n: weighted count of bounded Schroeder paths to (2n, 0)."""
     if n < 0:
@@ -66,13 +58,6 @@ def sigma_moment(n: int, k: int, spec: WeightSpec) -> MultiPoly:
 def sigma_negative_gf(k: int, spec: WeightSpec) -> RatFunc:
     """Generating function of the backward extension (sigma_{-n})_{n>=1}."""
     return reverse_gf(sigma_gf(k, spec))
-
-
-def sigma_negative_cf(k: int, spec: WeightSpec) -> RatFunc:
-    """Continued fraction x/(b0 - x - a1 x/(b1 - x - ...))."""
-    nums = [_X] + [spec.a(i) * _X for i in range(1, k + 1)]
-    dens = [spec.b(i) - _X for i in range(k + 1)]
-    return cf_eval(nums, dens)
 
 
 def sigma_negative(n: int, k: int, spec: WeightSpec) -> MultiPoly:

@@ -17,11 +17,11 @@ Stepping the recurrence itself is kept in the tests as a third route.
 Every backward value is a quotient whose only denominator is a power of
 P_{k+1}(0) = +-det A.  Both routes keep their numerators in the
 polynomial ring (the series by ``series_expand``, the matrix route by
-stepping with adj(A)) and divide by that power once, so a value is a
-MultiPoly when it is polynomial and a reduced RatFunc otherwise.  The
-generating-function route is one gcd-free series expansion per
-(r, s, k, spec): ``negative_moments`` expands the unreduced reversed gf
--x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a whole table from it.
+stepping with adj(A)) and divide by that power once (``over_power``), so
+a value is a MultiPoly when it is polynomial and a RatFunc in lowest
+terms otherwise.  The generating-function route is one gcd-free series
+expansion per (r, s, k, spec): ``negative_moments`` expands the reversed
+gf -x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a whole table from it.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
         for i in range(s + 1, r + 1):
             prod = prod * spec.lam(i)
         num = -_X * orth_poly(s, spec) * orth_poly(k - r, spec.shift(r + 1)) * prod
-    return RatFunc(num, den, reduce=False)
+    return RatFunc(num, den)
 
 
 def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
@@ -224,9 +224,8 @@ def _require_backward(k: int, spec: WeightSpec) -> None:
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
     """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k) from one series
-    expansion of the unreduced ``negative_moment_gf``: no gcd runs, and
-    ``series_expand`` divides each coefficient by its power of P_{k+1}(0)
-    once."""
+    expansion of ``negative_moment_gf``; ``series_expand`` divides each
+    coefficient by its power of P_{k+1}(0) once."""
     return series_expand(negative_moment_gf(r, s, k, spec), n_max + 1)[1:]
 
 

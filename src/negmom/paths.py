@@ -312,14 +312,6 @@ def pv_sequences(ell: int, n: int, k: int, modified: bool = False,
     yield from _words(n, options)
 
 
-def is_pv_sequence(seq: Seq, ell: int, k: int, modified: bool = False) -> bool:
-    if any(v < 0 or v > k for v in seq):
-        return False
-    padded = (0,) + tuple(seq) + (0,)
-    return all(_pv_ok(ell, modified, padded[i - 1], padded[i], padded[i + 1])
-               for i in range(1, len(padded) - 1))
-
-
 # -- alternating sequences --------------------------------------------------------
 
 def alt_sequences(n: int, k: int, down_first: bool = False,
@@ -359,25 +351,6 @@ def alt_sequences(n: int, k: int, down_first: bool = False,
 @lru_cache(maxsize=None)
 def count_alt(n: int, k: int, down_first: bool = False) -> int:
     return count(alt_sequences(n, k, down_first))
-
-
-# -- bijection between 2-PV and alternating sequences -----------------------------
-
-def pv_to_alt(seq: Seq, k: int) -> Seq:
-    """Entrywise a_i -> k - floor(a_i / 2) on odd-length 2-PV input."""
-    if len(seq) % 2 == 0 or not is_pv_sequence(seq, 2, 2 * k - 1):
-        raise ValueError("input is not an odd-length 2-PV sequence with bound 2k-1")
-    return tuple(k - v // 2 for v in seq)
-
-
-def alt_to_pv(seq: Seq, k: int) -> Seq:
-    """Inverse map: odd positions to 2(k-a)+1, even positions to 2(k-a)."""
-    if len(seq) % 2 == 0:
-        raise ValueError("length must be odd")
-    out = []
-    for pos, v in enumerate(seq, start=1):
-        out.append(2 * (k - v) + 1 if pos % 2 == 1 else 2 * (k - v))
-    return tuple(out)
 
 
 # -- sequence weights ---------------------------------------------------------------

@@ -1,10 +1,15 @@
-"""Reduced rational functions over the exact polynomial ring.
+"""Rational functions over the exact polynomial ring, as values.
 
-A ``RatFunc`` stores a numerator/denominator pair of ``MultiPoly``.  On
-construction the pair is reduced (gcd cancelled, Laurent units absorbed
-into the numerator) and the denominator is normalized to an integer
-primitive polynomial whose leading coefficient is positive, so equality
-of reduced forms is structural.
+A ``RatFunc`` is a numerator/denominator pair of ``MultiPoly``, built as
+given: construction never computes a gcd.  It only normalizes the
+denominator, moving into the numerator either the whole denominator,
+when it is a single term (a Laurent unit), or its rational content
+signed by its leading coefficient, so a denominator is 1 or an integer
+primitive polynomial with positive leading coefficient.  Two RatFuncs
+are equal when their cross products are.  Lowest terms are decided in
+one place, ``over_power``, which divides out the gcd when a quotient by
+a power of d is not polynomial.  No arithmetic is defined on RatFunc:
+the program computes in the polynomial ring and divides once.
 
 The series utilities treat ``x`` as the distinguished series variable;
 all other variables ride along inside the coefficients.  Series and
@@ -26,7 +31,6 @@ from .poly import (
     poly_gcd,
 )
 
-Scalar = Union[int, Fraction]
 PolyLike = Union[MultiPoly, int, Fraction]
 
 
@@ -35,17 +39,14 @@ def _as_poly(p: PolyLike) -> MultiPoly:
 
 
 class RatFunc:
-    """num/den with gcd-reduced, canonically normalized denominator.
-
-    ``reduce=False`` keeps the pair as built.  ``coprime=True`` is the
-    caller's word that gcd(num, den) is constant: den's monomial content
-    is still absorbed and the pair normalized, but no gcd is computed.
-    """
+    """num/den as built, its denominator normalized.  Not reduced
+    (``over_power`` gives lowest terms), so equality is by
+    cross-multiplication and a RatFunc is unhashable: equal values need
+    not share a pair."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyLike, den: PolyLike = 1, reduce: bool = True,
-                 coprime: bool = False):
+    def __init__(self, num: PolyLike, den: PolyLike = 1):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero():
@@ -53,133 +54,28 @@ class RatFunc:
         if num.is_zero():
             num, den = MultiPoly.zero(), MultiPoly.const(1)
         elif den.is_term():
-            # Laurent units are invertible: absorb into the numerator
+            # a Laurent unit: absorb it into the numerator
             num, den = num * den.unit_inverse(), MultiPoly.const(1)
-        elif reduce:
-            # den's monomial content is a unit: absorb it into the numerator,
-            # leaving den a true polynomial with zero monomial content
-            mono_d = den.monomial_content()
-            if mono_d:
-                num = num.shift_monomial(mono_d, -1)
-                den = den.shift_monomial(mono_d, -1)
-            g = MultiPoly.const(1) if coprime else poly_gcd(num, den)
-            if not g.is_const() or g.as_fraction() != 1:
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-        if not den.is_const():
-            cont = den.rational_content()
-            _, lead = den.leading()
-            if lead < 0:
-                cont = -cont
-            if cont != 1:
-                scale = Fraction(1) / cont
-                num = num * scale
-                den = den * scale
         else:
-            c = den.as_fraction()
-            if c != 1:
-                num = num * (Fraction(1) / c)
-                den = MultiPoly.const(1)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # -- basics --------------------------------------------------------------
+            scale = den.rational_content()
+            if den.leading()[1] < 0:
+                scale = -scale
+            if scale != 1:
+                num = num * (1 / scale)
+                den = den * (1 / scale)
+        self.num = num
+        self.den = den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.is_const() and self.den.as_fraction() == 1
-
-    def as_poly(self) -> MultiPoly:
-        if self.is_poly():
-            return self.num
-        q = poly_div_exact(self.num, self.den)  # raises when not exact
-        return q
-
-    # -- arithmetic ------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            return RatFunc(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        object.__setattr__(r, "num", -self.num)
-        object.__setattr__(r, "den", self.den)
-        return r
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # cross-reduce first to keep the big gcd calls small
-        a = RatFunc(self.num, other.den)
-        b = RatFunc(other.num, self.den)
-        return RatFunc(a.num * b.num, a.den * b.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(other.den, other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("inverting zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        result = RatFunc(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return self.den.is_const()
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        # reduced canonical forms are structural; fall back to cross product
-        if self.num == other.num and self.den == other.den:
-            return True
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def render(self) -> str:
         if self.is_poly():
@@ -208,12 +104,15 @@ def deg_x(p: MultiPoly) -> int:
 
 def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc]:
     """num / d**e in lowest terms: a MultiPoly when the quotient is
-    polynomial, a reduced RatFunc otherwise.
+    polynomial, otherwise a RatFunc whose pair is coprime and whose
+    denominator has no monomial content.  This is the one place where a
+    quotient is reduced, so its rendering is canonical.
 
     Factors of d are stripped from num by trial exact division.  When a
     division fails, coprimality is tested against d itself, not against
     the power left: if gcd(num, d) is constant so is gcd(num, d**e), and
-    the RatFunc is built without a gcd.  Otherwise it is reduced as usual.
+    the pair is built as it stands.  Otherwise gcd(num, d**e) is divided
+    out of both.
     """
     if d.is_term():
         return num * d.unit_inverse() ** e
@@ -221,7 +120,12 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
         try:
             num = poly_div_exact(num, d)
         except ExactDivisionError:
-            return RatFunc(num, d ** e, coprime=poly_gcd(num, d).is_const())
+            den = d ** e
+            if not poly_gcd(num, d).is_const():
+                g = poly_gcd(num, den)
+                num, den = poly_div_exact(num, g), poly_div_exact(den, g)
+            mono = den.monomial_content()   # a unit: moved into the numerator
+            return RatFunc(num.shift_monomial(mono, -1), den.shift_monomial(mono, -1))
         e -= 1
     return num
 
@@ -238,7 +142,7 @@ def series_expand(f: RatFunc, n_terms: int) -> List[Union[MultiPoly, RatFunc]]:
 
     in the polynomial ring, and each c_n = N_n / d0^{n+1} is divided out
     once by ``over_power``, so c_n is a MultiPoly when it is polynomial and
-    a reduced RatFunc otherwise.
+    a RatFunc in lowest terms otherwise.  f itself need not be reduced.
     """
     den_u = x_coeffs(f.den)
     num_u = x_coeffs(f.num)
@@ -319,7 +223,8 @@ def cf_eval(partial_numerators: Sequence[PolyLike],
 
         n1 / (d1 - n2 / (d2 - ... - nt / dt))
 
-    bottom-up into a reduced rational function.  Note the built-in
+    bottom-up into the pair N/D of the convergent recurrences, not
+    reduced: its series is what callers use.  Note the built-in
     subtraction: signs belong to the partial numerators.
     """
     nums = [_as_poly(p) for p in partial_numerators]
@@ -328,7 +233,6 @@ def cf_eval(partial_numerators: Sequence[PolyLike],
         raise ValueError("need matching, nonempty numerator/denominator lists")
     if dens[-1].is_zero():
         raise ZeroDivisionError(f"zero denominator at depth {len(dens)}")
-    # maintain value = N/D without reduction; the recurrences keep them coprime
     N, D = nums[-1], dens[-1]
     for i in range(len(nums) - 2, -1, -1):
         N, D = nums[i] * D, dens[i] * D - N

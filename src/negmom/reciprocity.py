@@ -16,7 +16,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Union
 
 from . import paths
-from .laurent import schroeder_count_reciprocity, sigma_moment, sigma_negative
+from .laurent import schroeder_count_reciprocity, sigma_negative
 from .matrix import Matrix, determinant, hankel_determinant
 from .moments import (
     IllDefinedError,
@@ -78,11 +78,7 @@ class IdentityCheck:
 
 
 def _as_ratfunc(v: Value) -> RatFunc:
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, MultiPoly):
-        return RatFunc(v, reduce=False)
-    return RatFunc(MultiPoly.const(v), reduce=False)
+    return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 def _first_monomial(p: MultiPoly) -> str:
@@ -518,7 +514,7 @@ def _v_ratio(r: int, s: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _pinned_pv3_gf(r: int, s: int, bound: int, unit_weights: bool) -> RatFunc:
-    """The unreduced ``negative_moment_gf`` of the pinned 3-PV moments,
+    """The ``negative_moment_gf`` of the pinned 3-PV moments,
     under ``one_one()`` or ``v_inverse()``.  A ``pv3-rs`` grid's tuples that
     differ only in n share it.  The key holds integers and a flag set in
     this module, never a caller's ``WeightSpec``: specs compare by name."""
@@ -635,50 +631,6 @@ def check_vv_inverse(k: int) -> IdentityCheck:
     return IdentityCheck("vv-inv", params, "PASS")
 
 
-def check_inverse_minor_identity(size: int, seed: int = 0) -> IdentityCheck:
-    """Minor-complement identity between a matrix and its inverse.
-
-    [A^{-1}]_{I,J} = (-1)^{sum I + sum J} [A]_{J', I'} / det(A) over all
-    index pairs, exercised on a seeded random rational matrix and on the
-    symbolic transfer matrix.
-    """
-    import itertools
-    import random
-
-    params = {"size": size, "seed": seed}
-    rng = random.Random(seed)
-    while True:
-        data = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                 for _ in range(size)] for _ in range(size)]
-        M = Matrix(data)
-        det = determinant(M)
-        if not det.is_zero():
-            break
-    matrices = [M]
-    if size <= 3:
-        matrices.append(transfer_matrix(size - 1, symbolic()))
-    from .matrix import matrix_inverse, minor
-    for A in matrices:
-        det = determinant(A)
-        inv = matrix_inverse(A)
-        full = list(range(size))
-        for t in range(0, size + 1):
-            for I in itertools.combinations(full, t):
-                for J in itertools.combinations(full, t):
-                    lhs = determinant(Matrix(
-                        [[inv[i, j] for j in J] for i in I])) if t else RatFunc(1)
-                    Ic = [i for i in full if i not in I]
-                    Jc = [j for j in full if j not in J]
-                    rhs_minor = minor(A, Jc, Ic)
-                    sign = (-1) ** (sum(I) + sum(J))
-                    rhs = RatFunc(sign * rhs_minor, det)
-                    if _as_ratfunc(lhs) != rhs:
-                        return IdentityCheck(
-                            "inverse-minor", params, "FAIL",
-                            witness=f"I={I} J={J}")
-    return IdentityCheck("inverse-minor", params, "PASS")
-
-
 # -- Schroeder side -----------------------------------------------------------------
 
 def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
@@ -688,18 +640,6 @@ def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
     total = paths.weight_sum(paths.schroeder_paths(2 * (n - 1), k), paths.schroeder_factors,
                              lambda f: getattr(rec, f[0])(f[1]))
     return spec.b(0).unit_inverse() * total
-
-
-def kamioka_moment(p: int, spec: WeightSpec) -> MultiPoly:
-    """Unbounded Schroeder moment L(x^p) for any integer p, by stabilization.
-
-    A path to (2n, 0) never exceeds height n, so the bound 2n is safely
-    stabilized for the forward side; the backward side is the oracle's
-    reciprocal-weight sum over Sch_{2n} with n = -p - 1.
-    """
-    if p >= 0:
-        return sigma_moment(p, max(2 * p, 1), spec)
-    return sigma_negative_oracle(-p, max(-2 * p - 2, 1), spec)
 
 
 def check_sigma(n: int, k: int) -> IdentityCheck:

@@ -603,3 +603,26 @@ def test_verify_json_golden(argv, code, rows, capsys):
     got = [f"{r['params']} {r['status']} {r['witness']}".rstrip()
            for r in json.loads(out)["results"]]
     assert (got_code, got, err) == (code, rows, "")
+
+
+def _moment_golden_runs():
+    """(argv, exit code, stdout lines) of each run in moment_golden.txt."""
+    from pathlib import Path
+    runs = []
+    for line in (Path(__file__).parent / "moment_golden.txt").read_text().splitlines():
+        if line.startswith("$ "):
+            argv, code = line[2:].split("  # exit ")
+            argv = argv.split()   # moment --n 1..4 --negative <flags>
+            runs.append(pytest.param(argv, int(code), [], id=" ".join(argv[4:])))
+        elif not line.startswith("#"):
+            runs[-1].values[2].append(line)
+    return runs
+
+
+@pytest.mark.parametrize("argv, code, lines", _moment_golden_runs())
+def test_moment_negative_rendered_golden(argv, code, lines, capsys):
+    # rational values in lowest terms, their denominators normalized, rendered
+    # byte for byte: a change of either shows here, not in a value check
+    got_code, out, err = run_cli(argv, capsys)
+    got = [line for line in out.splitlines() if not line.startswith("# elapsed")]
+    assert (got_code, got, err) == (code, lines, "")

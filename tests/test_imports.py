@@ -1,10 +1,17 @@
-"""Static checks over the package source: no unused imports, and the
-closed-form layer never reaches the brute-force enumerators."""
+"""Static checks over the package source: no unused imports, the
+closed-form layer never reaches the brute-force enumerators, and RatFunc
+is a value whose lowest terms only ``over_power`` decides."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import negmom
+from negmom import poly
+from negmom.matrix import Matrix
+from negmom.ratfunc import RatFunc
 
 SRC = Path(negmom.__file__).parent
 CLOSED_FORM = {"poly", "ratfunc", "matrix", "weights", "moments", "laurent"}
@@ -79,3 +86,40 @@ def test_cli_start_up_imports_stay_lean():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def _referrers(name: str, module: str):
+    """The functions of ``module`` whose bodies name ``name`` (``<module>``
+    for a use outside every function)."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or \
+                (isinstance(node, ast.Attribute) and node.attr == name):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(_tree(module), "<module>")
+    return found
+
+
+def test_only_over_power_reduces():
+    # lowest terms are decided in one place: outside poly.py, only
+    # ratfunc.over_power reaches poly_gcd
+    users = {(name, fn) for name in _modules() if name != "poly"
+             for fn in _referrers("poly_gcd", name)}
+    assert users == {("ratfunc", "over_power")}
+
+
+def test_ratfunc_is_a_value():
+    # no arithmetic, no constructor knobs, and no RatFunc entry in a Matrix
+    ops = ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "matmul")
+    arithmetic = {f"__{p}{op}__" for op in ops for p in ("", "r", "i")}
+    arithmetic |= {"__neg__", "__pos__", "__abs__"}
+    assert not arithmetic & set(vars(RatFunc))
+    assert list(inspect.signature(RatFunc).parameters) == ["num", "den"]
+    with pytest.raises(TypeError):
+        Matrix([[RatFunc(1, poly.b(0))]])

@@ -6,20 +6,47 @@ from negmom import poly as P
 from negmom.laurent import (
     laurent_poly,
     schroeder_count_reciprocity,
-    sigma_cf,
     sigma_gf,
     sigma_moment,
     sigma_negative,
-    sigma_negative_cf,
     sigma_negative_gf,
 )
 from negmom.paths import schroeder_factors, schroeder_paths, weight_sum
 from negmom.poly import MultiPoly
-from negmom.reciprocity import kamioka_moment, sigma_negative_oracle
+from negmom.ratfunc import cf_eval
+from negmom.reciprocity import sigma_negative_oracle
 from negmom.weights import laurent_ones, laurent_reciprocal, laurent_symbolic
 
 SYM = laurent_symbolic()
 ONES = laurent_ones()
+X = P.x()
+ONE = MultiPoly.const(1)
+
+
+def sigma_cf(k, spec):
+    """Continued fraction 1/(1 - b0 x - a1 x/(1 - b1 x - ...))."""
+    nums = [ONE] + [spec.a(i) * X for i in range(1, k + 1)]
+    dens = [ONE - spec.b(i) * X for i in range(k + 1)]
+    return cf_eval(nums, dens)
+
+
+def sigma_negative_cf(k, spec):
+    """Continued fraction x/(b0 - x - a1 x/(b1 - x - ...))."""
+    nums = [X] + [spec.a(i) * X for i in range(1, k + 1)]
+    dens = [spec.b(i) - X for i in range(k + 1)]
+    return cf_eval(nums, dens)
+
+
+def kamioka_moment(p, spec):
+    """Unbounded Schroeder moment L(x^p) for any integer p, by stabilization.
+
+    A path to (2n, 0) never exceeds height n, so the bound 2n is safely
+    stabilized for the forward side; the backward side is the oracle's
+    reciprocal-weight sum over Sch_{2n} with n = -p - 1.
+    """
+    if p >= 0:
+        return sigma_moment(p, max(2 * p, 1), spec)
+    return sigma_negative_oracle(-p, max(-2 * p - 2, 1), spec)
 
 
 def test_laurent_recurrence():

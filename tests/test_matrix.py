@@ -1,5 +1,7 @@
-"""Determinants, minors, inverses over the polynomial ring."""
+"""Determinants over the polynomial ring, and the adjugate as a test-side
+oracle for the continuant inverse."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,19 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negmom import poly as P
-from negmom.matrix import (
-    Matrix,
-    SingularMatrixError,
-    adjugate,
-    determinant,
-    hankel_determinant,
-    matrix_inverse,
-    minor,
-)
+from negmom import weights as W
+from negmom.matrix import Matrix, determinant, hankel_determinant
+from negmom.moments import transfer_matrix, usmani_inverse
 from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc
 
 ONE = MultiPoly.const(1)
+
+
+def _sub(m, rows, cols):
+    """det of the submatrix on the given rows and columns; 1 when empty."""
+    return determinant(Matrix([[m[i, j] for j in cols] for i in rows]))
+
+
+def adjugate(m):
+    """Transposed cofactor matrix: m * adjugate(m) = det(m) * I."""
+    n = m.rows
+    return Matrix([[(-1) ** (i + j) * _sub(m, [r for r in range(n) if r != j],
+                                           [c for c in range(n) if c != i])
+                    for j in range(n)] for i in range(n)])
 
 
 def rand_matrix(rng, n):
@@ -70,52 +78,23 @@ def test_det_symbolic_vs_cofactor():
     assert d == by_hand
 
 
-def test_minor_conventions():
-    A = Matrix([[P.b(0), ONE, 0],
-                [P.lam(1), P.b(1), ONE],
-                [0, P.lam(2), P.b(2)]])
-    assert minor(A, [], []) == ONE
-    assert minor(A, [0], [1]) == ONE
-    assert minor(A, [1, 2], [0, 1]) == P.lam(1) * P.lam(2)
-    with pytest.raises(ValueError):
-        minor(A, [0, 1], [0])
-
-
-def test_inverse_identity_and_scalar():
-    I = Matrix.identity(3)
-    assert matrix_inverse(I) == I.map(lambda e: RatFunc(e))
-    inv = matrix_inverse(Matrix([[P.b(0)]]))
-    assert inv[0, 0] == RatFunc(1, P.b(0))
-
-
 def test_inverse_2x2_adjugate():
-    A = Matrix([[P.b(0), ONE], [P.lam(1), P.b(1)]])
-    det = P.b(0) * P.b(1) - P.lam(1)
-    inv = matrix_inverse(A)
-    assert inv[0, 0] == RatFunc(P.b(1), det)
-    assert inv[0, 1] == RatFunc(-ONE, det)
-    assert inv[1, 0] == RatFunc(-P.lam(1), det)
-    assert inv[1, 1] == RatFunc(P.b(0), det)
+    # A^{-1} = adj(A) / det(A) for the 2x2 transfer matrix, from the continuants
+    N, det = usmani_inverse(1, W.symbolic())
+    assert det == P.b(0) * P.b(1) - P.lam(1)
+    assert N == Matrix([[P.b(1), -ONE], [-P.lam(1), P.b(0)]])
 
 
 def test_inverse_roundtrip_random():
+    # M adj(M) = det(M) I: the inverse adj(M) / det(M), cleared of det(M)
     rng = random.Random(17)
     for n in (2, 3, 4):
         M = rand_matrix(rng, n)
         while determinant(M).is_zero():
             M = rand_matrix(rng, n)
-        inv = matrix_inverse(M)
-        prod = M * inv
-        for i in range(n):
-            for j in range(n):
-                assert prod[i, j] == RatFunc(1 if i == j else 0)
-
-
-def test_singular_reported_with_determinant():
-    A = Matrix([[ONE, ONE], [ONE, ONE]])
-    with pytest.raises(SingularMatrixError) as err:
-        matrix_inverse(A)
-    assert err.value.determinant.is_zero()
+        det = determinant(M)
+        assert M * adjugate(M) == Matrix([[det if i == j else 0 for j in range(n)]
+                                          for i in range(n)])
 
 
 def test_adjugate_relation():
@@ -127,6 +106,28 @@ def test_adjugate_relation():
     for i in range(3):
         for j in range(3):
             assert prod[i, j] == (det if i == j else MultiPoly.zero())
+
+
+def test_inverse_minor_identity():
+    """Jacobi's theorem cleared of det A: for |I| = |J| and complements I', J',
+    det A * det(adj(A)[I, J]) = (-1)^(sum I + sum J) det(A)^|I| det A[J', I'],
+    on a seeded random rational matrix and the symbolic transfer matrix."""
+    rng = random.Random(5)
+    while True:
+        M = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
+                    for _ in range(3)])
+        if not determinant(M).is_zero():
+            break
+    for A in (M, transfer_matrix(2, W.symbolic())):
+        det, adj, full = determinant(A), adjugate(A), range(A.rows)
+        for t in range(A.rows + 1):
+            for I in itertools.combinations(full, t):
+                for J in itertools.combinations(full, t):
+                    Ic = [i for i in full if i not in I]
+                    Jc = [j for j in full if j not in J]
+                    lhs = det * _sub(adj, I, J)
+                    rhs = (-1) ** (sum(I) + sum(J)) * det ** t * _sub(A, Jc, Ic)
+                    assert lhs == rhs, (I, J)
 
 
 _SMALL = st.integers(-4, 4)

@@ -7,7 +7,7 @@ import pytest
 from negmom import poly as P
 from negmom import reciprocity
 from negmom import weights as W
-from negmom.matrix import adjugate, determinant
+from negmom.matrix import determinant
 from negmom.moments import (
     IllDefinedError,
     adjugate_vectors,
@@ -30,6 +30,7 @@ from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_fac
 from negmom.poly import MultiPoly
 from negmom.ratfunc import RatFunc, over_power, reverse_gf, series_expand, x_coeffs
 from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
+from test_matrix import adjugate
 
 SYM = W.symbolic()
 Z1 = W.zero_one()

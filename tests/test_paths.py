@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.paths import (
+    _pv_ok,
     alt_sequences,
-    alt_to_pv,
     count_alt,
     encode_motzkin,
     encode_rpp,
     encode_seq,
-    is_pv_sequence,
     motzkin_factors,
     motzkin_paths,
     pv_sequences,
-    pv_to_alt,
     rpp_factors,
     rpp_fillings,
     rpp_total,
@@ -174,6 +172,16 @@ def test_weight_sum_edges():
     assert weight_sum(rows, list, spec_value(MIXED)) == P.V(1) ** -1 * P.A(1)
 
 
+def is_pv_sequence(seq, ell, k, modified=False):
+    """Membership oracle: entries in [0, k], and the peak/valley rule at
+    every position of the sequence padded with 0 on both sides."""
+    if any(v < 0 or v > k for v in seq):
+        return False
+    padded = (0,) + tuple(seq) + (0,)
+    return all(_pv_ok(ell, modified, padded[i - 1], padded[i], padded[i + 1])
+               for i in range(1, len(padded) - 1))
+
+
 def test_pv_membership_example():
     assert is_pv_sequence((3, 2, 7, 0, 1), 2, 7)
     assert not is_pv_sequence((2, 2), 2, 7)
@@ -220,6 +228,23 @@ def test_alt_endpoints():
     assert list(alt_sequences(1, 3, endpoints=(2, 2))) == [(2,)]
     assert list(alt_sequences(0, 3)) == [()]
     assert list(alt_sequences(0, 3, endpoints=(1, 1))) == []
+
+
+def pv_to_alt(seq, k):
+    """Entrywise a_i -> k - floor(a_i / 2) on odd-length 2-PV input."""
+    if len(seq) % 2 == 0 or not is_pv_sequence(seq, 2, 2 * k - 1):
+        raise ValueError("input is not an odd-length 2-PV sequence with bound 2k-1")
+    return tuple(k - v // 2 for v in seq)
+
+
+def alt_to_pv(seq, k):
+    """Inverse map: odd positions to 2(k-a)+1, even positions to 2(k-a)."""
+    if len(seq) % 2 == 0:
+        raise ValueError("length must be odd")
+    out = []
+    for pos, v in enumerate(seq, start=1):
+        out.append(2 * (k - v) + 1 if pos % 2 == 1 else 2 * (k - v))
+    return tuple(out)
 
 
 def test_pv_alt_bijection():

@@ -28,7 +28,6 @@ from negmom.reciprocity import (
     check_dyck_motzkin_connection,
     check_connection1,
     check_connection2,
-    check_inverse_minor_identity,
     check_main_reciprocity,
     check_pv2,
     check_pv3_rs,
@@ -304,7 +303,6 @@ def test_inverse_checks():
         assert check_usmani(k).passed
     assert check_vv_inverse(2).passed
     assert check_vv_inverse(4).status == "SKIPPED"
-    assert check_inverse_minor_identity(3, seed=5).passed
 
 
 def test_sigma_check():
