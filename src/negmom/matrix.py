@@ -10,16 +10,19 @@ moment engine's transfer matrix is tridiagonal, and
 continuants.
 Every moment-grid determinant of the reciprocity identities is a Hankel
 determinant det(c_{i+j}), built by ``hankel_determinant`` from the 2m-1
-entries of its sequence: each entry is computed once, and a condensation
-of Hankel families has one place to go.
+entries of its sequence: each entry is computed once.  A backward grid
+stepped with adj A carries a known power of d = det A in each of its
+leading minors; ``reduced_hankel_determinant`` condenses such a grid
+(Desnanot-Jacobi) with that power divided out at every level.  A plain
+grid is not condensed: dividing by raw entries makes its terms swell.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
-from .poly import MultiPoly, poly_div_exact
+from .poly import ExactDivisionError, MultiPoly, poly_div_exact
 
 Entry = Union[MultiPoly, int, Fraction]
 
@@ -108,6 +111,40 @@ def hankel_determinant(c: Sequence[Entry]) -> MultiPoly:
         raise ValueError(f"a Hankel grid needs an odd number of entries, got {len(c)}")
     m = (len(c) + 1) // 2
     return determinant(Matrix([[c[i + j] for j in range(m)] for i in range(m)]))
+
+
+def reduced_hankel_determinant(c: Sequence[Entry], d: Entry, n: int) -> Optional[MultiPoly]:
+    """det(c_{n+i+j}) / d^((m-1)(n+m-2)) for i, j < m, given the 2m-1
+    entries c_n..c_{n+2m-2} as ``c``, by Desnanot-Jacobi condensation.
+
+    The reduced minors R_l^(N) = det(c_{N+i+j})_{l x l} / d^((l-1)(N+l-2))
+    are built level by level: R_1 = c, R_2^(N) = (c_N c_{N+2} - c_{N+1}^2)
+    / d^N, and for l >= 3
+
+        R_l^(N) = (R_{l-1}^(N) R_{l-1}^(N+2) - (R_{l-1}^(N+1))^2) / R_{l-2}^(N+2),
+
+    where the powers of d cancel exactly.  Every division is exact when d's
+    power divides each minor, as it does for c_t = d^t mu_{-t}.  None when
+    a pivot R_{l-2}^(N+2) is zero or a division is inexact: the caller then
+    takes ``hankel_determinant``.
+    """
+    if c and len(c) % 2 == 0:
+        raise ValueError(f"a Hankel grid needs an odd number of entries, got {len(c)}")
+    if len(c) <= 1:
+        return hankel_determinant(c)
+    d = _as_entry(d)
+    cur = [_as_entry(e) for e in c]
+    pivots = [d ** n]   # d^N, N = n, n+1, ...: the level-2 divisors
+    for _ in range(len(c) - 3):
+        pivots.append(pivots[-1] * d)
+    try:
+        while len(cur) > 1:
+            cur, pivots = [poly_div_exact(cur[i] * cur[i + 2] - cur[i + 1] * cur[i + 1],
+                                          pivots[i])
+                           for i in range(len(cur) - 2)], cur[2:]
+    except (ExactDivisionError, ZeroDivisionError):
+        return None
+    return cur[0]
 
 
 def _det_bareiss(a: List[List[MultiPoly]]) -> MultiPoly:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from . import paths
 from .laurent import schroeder_count_reciprocity, sigma_negative
-from .matrix import Matrix, determinant, hankel_determinant
+from .matrix import Matrix, determinant, hankel_determinant, reduced_hankel_determinant
 from .moments import (
     IllDefinedError,
     adjugate_vectors,
@@ -145,10 +145,19 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     With K = k+m-1 and d = det A, the backward grid is stepped with adj(A)
     of ``spec.reversed(K)`` (reversal keeps det A), so its Hankel
     determinant det_h is d^(mn+m(m-1)) det(mu_{-n-i-j}).  The identity's
-    d^(n+2m-2) cancels all of that power but d^j, j = (m-1)(n+m-2), and
-    what is checked is
+    d^(n+2m-2) cancels all of that power but d^j, j = (m-1)(n+m-2).  The
+    backward grid is condensed to R = det_h / d^j
+    (``reduced_hankel_determinant``), and what is checked is
 
-        lhs d^j prod_{i>k} lam_i^(i-k) = det_h prod_{i<k} lam_i^(k-i).
+        lhs prod_{i>k} lam_i^(i-k) = R prod_{i<k} lam_i^(k-i).
+
+    When a pivot of the condensation is zero or one of its divisions is
+    inexact, R is not formed, and the cleared equality
+
+        lhs d^j prod_{i>k} lam_i^(i-k) = det_h prod_{i<k} lam_i^(k-i)
+
+    is checked instead.  A FAIL reports the cleared sides and the witness
+    of the cleared equality on either path.
     """
     params = {"n": n, "k": k, "m": m, "spec": spec.name}
     ident = "main"
@@ -160,14 +169,21 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     except IllDefinedError:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
     lhs = hankel_determinant(_moment_run(K, spec, n + 2 * m - 2, 1, 2 * k - 1))
-    lhs = lhs * d ** ((m - 1) * (n + m - 2))
-    rhs = hankel_determinant([u[0] for u in vecs[n:]])
+    rhs_lam = MultiPoly.const(1)
     for i in range(1, K + 1):
         if i > k:
             lhs = lhs * spec.lam(i) ** (i - k)
         elif i < k:
-            rhs = rhs * spec.lam(i) ** (k - i)
-    return check_values(ident, params, lhs, rhs)
+            rhs_lam = rhs_lam * spec.lam(i) ** (k - i)
+    c = [u[0] for u in vecs[n:]]
+    reduced = reduced_hankel_determinant(c, d, n)
+    if reduced is not None:
+        check = check_values(ident, params, lhs, reduced * rhs_lam)
+        if check.passed:
+            return check
+    dj = d ** ((m - 1) * (n + m - 2))
+    det_h = hankel_determinant(c) if reduced is None else reduced * dj
+    return check_values(ident, params, lhs * dj, det_h * rhs_lam)
 
 
 def check_theorem15(n: int, k: int, m: int) -> IdentityCheck:

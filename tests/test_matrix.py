@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom import weights as W
-from negmom.matrix import Matrix, determinant, hankel_determinant
+from negmom.matrix import Matrix, determinant, hankel_determinant, reduced_hankel_determinant
 from negmom.moments import transfer_matrix, usmani_inverse
 from negmom.poly import MultiPoly
 
@@ -154,3 +154,33 @@ def test_hankel_determinant_edges():
     for even in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(ValueError, match="odd number"):
             hankel_determinant(even)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 3), data=st.data())
+def test_reduced_hankel_determinant_divides_out_the_power_of_d(m, n, data):
+    # c_t = d^t e_t puts d^((l-1)(N+l-2)) in every l x l minor from c_N on,
+    # so every condensation division is exact and only a zero pivot stops it
+    d = data.draw(st.sampled_from([MultiPoly.const(2), P.b(3), P.b(3) - 2 * P.lam(1)]), label="d")
+    e = data.draw(st.lists(_HANKEL_ENTRY, min_size=2 * m - 1, max_size=2 * m - 1), label="e")
+    c = [d ** (n + t) * e_t for t, e_t in enumerate(e)]
+    reduced = reduced_hankel_determinant(c, d, n)
+    assert reduced is None or reduced * d ** ((m - 1) * (n + m - 2)) == hankel_determinant(c)
+
+
+def test_reduced_hankel_determinant_edges():
+    assert reduced_hankel_determinant([], P.b(0), 1) == ONE
+    assert reduced_hankel_determinant([P.b(1)], P.b(0), 1) == P.b(1)
+    with pytest.raises(ValueError, match="odd number"):
+        reduced_hankel_determinant([1, 2], P.b(0), 1)
+    # generic entries: every level divides, and R d^j is the determinant, j = 2 * 3
+    d = P.b(0) + P.lam(1)
+    c = [d ** (2 + t) * P.b(t + 1) for t in range(5)]
+    reduced = reduced_hankel_determinant(c, d, 2)
+    assert reduced is not None and reduced * d ** 6 == hankel_determinant(c)
+    # a zero level-3 pivot R_1^(n+2) = c_{n+2}, here with a zero determinant
+    assert reduced_hankel_determinant([1, 0, 0, 0, 1], 1, 1) is None
+    assert hankel_determinant([1, 0, 0, 0, 1]).is_zero()
+    # an inexact level-2 division: d^n does not divide c_n c_{n+2} - c_{n+1}^2
+    # (d is no monomial: those are units of the Laurent ring)
+    assert reduced_hankel_determinant([P.b(0), P.b(1), P.b(2)], P.b(3) + 1, 1) is None

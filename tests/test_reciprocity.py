@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from negmom import reciprocity
 from negmom import weights as W
-from negmom.matrix import hankel_determinant
+from negmom.matrix import hankel_determinant, reduced_hankel_determinant
 from negmom.moments import (
     IllDefinedError,
     adjugate_vectors,
@@ -89,7 +89,7 @@ def test_det_moment_grid_matches_brute():
 
 def test_main_reciprocity_symbolic_small():
     sym = W.symbolic()
-    for (k, m) in ((1, 1), (1, 2), (2, 1)):
+    for (k, m) in ((1, 1), (1, 2), (2, 1), (1, 3)):
         for n in (1, 2):
             assert check_main_reciprocity(n, k, m, sym).passed, (n, k, m)
 
@@ -110,7 +110,7 @@ def _custom(vals):
 _NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
 
 
-@pytest.mark.parametrize("nkm", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 2)])
+@pytest.mark.parametrize("nkm", [(1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 2, 2), (1, 1, 3)])
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_main_reciprocity_non_palindromic_numeric_spec(nkm, data):
@@ -123,6 +123,115 @@ def test_main_reciprocity_non_palindromic_numeric_spec(nkm, data):
     spec = W.spec(_custom(b), _custom(lam))
     assume(well_defined(K, spec)[0])
     assert check_main_reciprocity(*nkm, spec).status == "PASS"
+
+
+def _backward_grid(n, k, m, spec):
+    """d and the entries c_n..c_{n+2m-2} of main's backward grid."""
+    K = k + m - 1
+    d, vecs = reciprocity.adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
+    return d, [u[0] for u in vecs[n:]]
+
+
+def _cleared_main(n, k, m, spec):
+    """main checked as lhs d^j prod = det_h prod, with no condensation: the
+    oracle for the status, the sides and the witness of a FAIL."""
+    K = k + m - 1
+    d, c = _backward_grid(n, k, m, spec)
+    lhs = hankel_determinant(reciprocity._moment_run(K, spec, n + 2 * m - 2, 1, 2 * k - 1))
+    lhs = lhs * d ** ((m - 1) * (n + m - 2))
+    rhs = hankel_determinant(c)
+    for i in range(1, K + 1):
+        if i > k:
+            lhs = lhs * spec.lam(i) ** (i - k)
+        elif i < k:
+            rhs = rhs * spec.lam(i) ** (k - i)
+    return check_values("main", {"n": n, "k": k, "m": m, "spec": spec.name}, lhs, rhs)
+
+
+def _main_and_path(n, k, m, spec, monkeypatch):
+    """check_main_reciprocity and whether its backward grid was condensed."""
+    seen = []
+
+    def spy(c, d, start):
+        seen.append(reduced_hankel_determinant(c, d, start))
+        return seen[-1]
+    monkeypatch.setattr(reciprocity, "reduced_hankel_determinant", spy)
+    check = check_main_reciprocity(n, k, m, spec)
+    assert len(seen) == 1
+    return check, seen[0] is not None
+
+
+def _agrees_with_cleared(check, n, k, m, spec):
+    want = _cleared_main(n, k, m, spec)
+    assert (check.status, check.witness) == (want.status, want.witness)
+    if want.status == "FAIL":
+        assert (check.lhs, check.rhs) == (want.lhs, want.rhs)
+
+
+_SMALL_KM = [(k, m) for m in (1, 2, 3) for k in (1, 2, 3) if k + m - 1 <= 3]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("km", _SMALL_KM)
+def test_reduced_backward_grid_is_det_h_over_d_power_symbolic(n, km):
+    # the condensed backward grid times d^j is the Hankel determinant, and
+    # on symbols no pivot is zero and every division is exact
+    k, m = km
+    d, c = _backward_grid(n, k, m, W.symbolic())
+    reduced = reduced_hankel_determinant(c, d, n)
+    assert reduced is not None
+    assert reduced * d ** ((m - 1) * (n + m - 2)) == hankel_determinant(c)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 2), km=st.sampled_from(_SMALL_KM), data=st.data())
+def test_reduced_backward_grid_is_det_h_over_d_power_numeric(n, km, data):
+    k, m = km
+    K = k + m - 1
+    b = data.draw(st.lists(_NONZERO, min_size=K + 1, max_size=K + 1), label="b")
+    lam = data.draw(st.lists(_NONZERO, min_size=K, max_size=K), label="lam")
+    spec = W.spec(_custom(b), _custom(lam))
+    assume(well_defined(K, spec)[0])
+    d, c = _backward_grid(n, k, m, spec)
+    reduced = reduced_hankel_determinant(c, d, n)
+    # a division by a nonzero number is exact: only a zero pivot stops it
+    assert reduced is None or reduced * d ** ((m - 1) * (n + m - 2)) == hankel_determinant(c)
+
+
+def test_main_zero_one_condenses_at_even_n_and_falls_back_at_odd_n(monkeypatch):
+    # at odd n, zero-one's c_{n+2} is 0: the level-3 pivot
+    for n in (1, 2, 3, 4):
+        for k in (1, 3):
+            check, condensed = _main_and_path(n, k, 3, W.zero_one(), monkeypatch)
+            assert check.passed and condensed == (n % 2 == 0), (n, k)
+            _agrees_with_cleared(check, n, k, 3, W.zero_one())
+
+
+def test_main_inexact_division_falls_back_to_the_cleared_equality(monkeypatch):
+    # a mutant d + 1 that does not divide the level-2 minors
+    adjugate_vectors_ = reciprocity.adjugate_vectors
+
+    def shifted_d(*args):
+        d, vecs = adjugate_vectors_(*args)
+        return d + 1, vecs
+    monkeypatch.setattr(reciprocity, "adjugate_vectors", shifted_d)
+    for nkm in ((1, 1, 2), (2, 1, 2), (1, 1, 3)):
+        check, condensed = _main_and_path(*nkm, W.symbolic(), monkeypatch)
+        assert not condensed and check.status == "FAIL", nkm
+        _agrees_with_cleared(check, *nkm, W.symbolic())
+
+
+def test_main_fail_on_the_condensed_path_has_the_cleared_witness(monkeypatch):
+    # a mutant stepping spec instead of spec.reversed(K): reversing twice
+    # at one bound is the identity.  Its grid still condenses, and the FAIL
+    # reports the sides and witness of lhs d^j prod - det_h prod
+    adjugate_vectors_ = reciprocity.adjugate_vectors
+    monkeypatch.setattr(reciprocity, "adjugate_vectors",
+                        lambda K, spec, *a: adjugate_vectors_(K, spec.reversed(K), *a))
+    for nkm in ((1, 1, 2), (1, 2, 2), (1, 1, 3)):
+        check, condensed = _main_and_path(*nkm, W.symbolic(), monkeypatch)
+        assert condensed and check.status == "FAIL", nkm
+        _agrees_with_cleared(check, *nkm, W.symbolic())
 
 
 def test_reversed_spec_reverses_indices():
