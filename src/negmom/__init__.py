@@ -5,16 +5,12 @@ from .matrix import Matrix, determinant
 from .moments import (
     IllDefinedError,
     bounded_moment,
-    moment_gf,
-    negative_cf,
     negative_moment,
-    negative_moment_gf,
     negative_moments,
     orth_poly,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
-    viennot_cf,
     well_defined,
 )
 from .poly import MultiPoly, poly_div_exact, poly_gcd
@@ -30,10 +26,7 @@ __all__ = [
     "bounded_moment",
     "cf_eval",
     "determinant",
-    "moment_gf",
-    "negative_cf",
     "negative_moment",
-    "negative_moment_gf",
     "negative_moments",
     "orth_poly",
     "poly_div_exact",
@@ -44,6 +37,5 @@ __all__ = [
     "transfer_matrix",
     "usmani_inverse",
     "v_inverse_closed_form",
-    "viennot_cf",
     "well_defined",
 ]

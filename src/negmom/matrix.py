@@ -5,9 +5,9 @@ rational-function entry is a ``TypeError``, since every quotient of the
 program is divided out once, outside any matrix.  Determinants use
 fraction-free Bareiss elimination (with row pivoting on symbolic zeros),
 or cofactor expansion for small matrices of large polynomials.  The
-moment engine's transfer matrix is tridiagonal, and
-``moments.usmani_inverse`` gives its adjugate and determinant from the
-continuants.
+moment engine's transfer matrix A is tridiagonal, so adj(A) is
+semiseparable: ``moments`` steps rows through it from the continuants in
+O(k) products, with no matrix built (``usmani_inverse`` writes it out).
 Every moment-grid determinant of the reciprocity identities is a Hankel
 determinant det(c_{i+j}), built by ``hankel_determinant`` from the 2m-1
 entries of its sequence: each entry is computed once.  A backward grid

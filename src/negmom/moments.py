@@ -7,21 +7,20 @@ n-th power of the tridiagonal matrix
 
 is the weighted count of height-bounded Motzkin paths from height r to
 height s.  The backward side extends that sequence along its linear
-recurrence, by the paper's two routes: reversing the generating function
-(``negative_moments``), and stepping the inverse A^{-1} = adj(A) / det A
-(``adjugate_vectors``).  A has one inverse here, ``usmani_inverse``: the
-leading and trailing continuants give adj(A) and det A, and the same
-continuant loop gives ``well_defined``'s P_{k+1}(0) = (-1)^{k+1} det A.
-Stepping the recurrence itself is kept in the tests as a third route.
+recurrence by one route: stepping the inverse A^{-1} = adj(A) / det A.
+One continuant loop, ``_continuants``, gives the leading and trailing
+minors of A, and from them det A, ``well_defined``'s
+P_{k+1}(0) = (-1)^{k+1} det A, and the factors of adj(A), which is
+semiseparable, so a row steps through u -> u adj(A) in O(k) products
+(``adjugate_vectors``, ``negative_moments``); ``usmani_inverse`` writes
+the same factors out as a matrix.  The paper's other route, reversing the
+generating function, and stepping the recurrence itself are kept in the
+tests as oracles.
 
 Every backward value is a quotient whose only denominator is a power of
-P_{k+1}(0) = +-det A.  Both routes keep their numerators in the
-polynomial ring (the series by ``series_expand``, the matrix route by
-stepping with adj(A)) and divide by that power once (``over_power``), so
-a value is a MultiPoly when it is polynomial and a RatFunc in lowest
-terms otherwise.  The generating-function route is one gcd-free series
-expansion per (r, s, k, spec): ``negative_moments`` expands the reversed
-gf -x P_r P^{(s+1)}_{k-s} / P_{k+1} once and lists a whole table from it.
+det A.  The rows stay in the polynomial ring and each value is divided by
+its power once (``over_power``), so a value is a MultiPoly when it is
+polynomial and a RatFunc in lowest terms otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterator, List, Tuple, Union
 
 from .matrix import Matrix
 from .poly import MultiPoly
-from .ratfunc import RatFunc, cf_eval, invert_x, series_expand
+from .ratfunc import RatFunc, over_power
 from .weights import WeightSpec
 
 Value = Union[MultiPoly, RatFunc]
@@ -90,25 +89,6 @@ def moment_vectors(k: int, spec: WeightSpec, r: int, n_max: int) -> Iterator[Lis
         yield u
 
 
-def adjugate_vectors(k: int, spec: WeightSpec, r: int,
-                     t_max: int) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
-    """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
-    ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
-    e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
-    caller.  (adj A, det A) come from ``usmani_inverse``, which raises
-    IllDefinedError on a singular A."""
-    if not 0 <= r <= k:
-        raise IndexError(f"start height {r} outside [0, {k}]")
-    C, det = usmani_inverse(k, spec)
-    u = [MultiPoly.const(1) if i == r else MultiPoly.zero() for i in range(k + 1)]
-    out = [u]
-    for _ in range(t_max):
-        u = [sum((u[t] * C[t, j] for t in range(k + 1)), MultiPoly.zero())
-             for j in range(k + 1)]
-        out.append(u)
-    return det, out
-
-
 def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPoly:
     """Weighted count of bounded Motzkin paths: e_r^T A^n e_s."""
     if n < 0:
@@ -121,7 +101,7 @@ def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPol
     raise AssertionError("unreachable")
 
 
-# -- orthogonal polynomials and generating functions -----------------------------
+# -- orthogonal polynomials and continuants ---------------------------------------
 
 def orth_poly(n: int, spec: WeightSpec) -> MultiPoly:
     """Monic P_n from P_{n+1} = (x - b_n) P_n - lam_n P_{n-1}."""
@@ -131,65 +111,6 @@ def orth_poly(n: int, spec: WeightSpec) -> MultiPoly:
     for i in range(n):
         prev, cur = cur, (_X - spec.b(i)) * cur - (spec.lam(i) * prev if i >= 1 else MultiPoly.zero())
     return cur
-
-
-def inverted_poly(n: int, spec: WeightSpec) -> MultiPoly:
-    """P*_n(x) = x^n P_n(1/x)."""
-    return invert_x(orth_poly(n, spec), n)
-
-
-def moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    """Rational generating function of (mu_{n,r,s}^{<=k})_{n>=0} in x;
-    the numerator's second factor is the inverted polynomial of the
-    shifted sequences."""
-    if not (0 <= r <= k and 0 <= s <= k):
-        raise IndexError("heights must lie in [0, k]")
-    den = inverted_poly(k + 1, spec)
-    if r <= s:
-        num = (_X ** (s - r)) * inverted_poly(r, spec) * inverted_poly(k - s, spec.shift(s + 1))
-    else:
-        prod = MultiPoly.const(1)
-        for i in range(s + 1, r + 1):
-            prod = prod * spec.lam(i)
-        num = (_X ** (r - s)) * inverted_poly(s, spec) \
-            * inverted_poly(k - r, spec.shift(r + 1)) * prod
-    return RatFunc(num, den)
-
-
-def negative_moment_gf(r: int, s: int, k: int, spec: WeightSpec) -> RatFunc:
-    """Rational generating function of (mu_{-n,r,s}^{<=k})_{n>=1} in x:
-    the forward gf reversed, f(x) -> -f(1/x), is
-    -x P_r P^{(s+1)}_{k-s} / P_{k+1} (for r > s: -x P_s P^{(r+1)}_{k-r}
-    lam_{s+1}..lam_r / P_{k+1}), kept as built: no gcd runs.  Checks the
-    domain, then the heights."""
-    _require_backward(k, spec)
-    if not (0 <= r <= k and 0 <= s <= k):
-        raise IndexError("heights must lie in [0, k]")
-    den = orth_poly(k + 1, spec)
-    if r <= s:
-        num = -_X * orth_poly(r, spec) * orth_poly(k - s, spec.shift(s + 1))
-    else:
-        prod = MultiPoly.const(1)
-        for i in range(s + 1, r + 1):
-            prod = prod * spec.lam(i)
-        num = -_X * orth_poly(s, spec) * orth_poly(k - r, spec.shift(r + 1)) * prod
-    return RatFunc(num, den)
-
-
-def viennot_cf(k: int, spec: WeightSpec) -> RatFunc:
-    """Depth-(k+1) continued fraction for the forward moment series."""
-    x2 = _X * _X
-    nums = [_ONE] + [spec.lam(i) * x2 for i in range(1, k + 1)]
-    dens = [_ONE - spec.b(i) * _X for i in range(k + 1)]
-    return cf_eval(nums, dens)
-
-
-def negative_cf(k: int, spec: WeightSpec) -> RatFunc:
-    """Continued fraction -x/(x - b0 - lam1/(x - b1 - ...)) for the backward series."""
-    _require_backward(k, spec)
-    nums = [-_X] + [spec.lam(i) for i in range(1, k + 1)]
-    dens = [_X - spec.b(i) for i in range(k + 1)]
-    return cf_eval(nums, dens)
 
 
 def _continuants(k: int, spec: WeightSpec) -> List[MultiPoly]:
@@ -213,62 +134,100 @@ def well_defined(k: int, spec: WeightSpec) -> Tuple[bool, MultiPoly]:
     return (not cert.is_zero(), cert)
 
 
-def _require_backward(k: int, spec: WeightSpec) -> None:
-    ok, cert = well_defined(k, spec)
-    if not ok:
-        raise IllDefinedError(
-            f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension", cert)
+# -- the inverse of A and negative moments ---------------------------------------
+
+def _adjugate_factors(k: int, spec: WeightSpec, singular: str) -> Tuple[
+        MultiPoly, List[MultiPoly], List[MultiPoly], List[MultiPoly | None]]:
+    """(det A, t, s, lam) with adj(A) semiseparable (Usmani 1994):
+
+        adj(A)_ij = t_i s_j                        (i <= j)
+                  = lam_{j+1} .. lam_i t_j s_i     (i > j),
+
+    t_i = (-1)^i theta_i from the leading principal minors and
+    s_i = (-1)^i phi_{k-i} from the trailing ones, phi being the continuants
+    of the index-reversed spec.  A singular A raises
+    IllDefinedError(singular) with det A as its certificate."""
+    theta = _continuants(k, spec)
+    if theta[k + 1].is_zero():
+        raise IllDefinedError(singular, theta[k + 1])
+    phi = _continuants(k, spec.reversed(k))
+    t = [-theta[i] if i % 2 else theta[i] for i in range(k + 1)]
+    s = [-phi[k - i] if i % 2 else phi[k - i] for i in range(k + 1)]
+    return theta[k + 1], t, s, [None] + [spec.lam(i) for i in range(1, k + 1)]
 
 
-# -- negative moments ---------------------------------------------------------------
+def _adjugate_rows(r: int, t_max: int, t: List[MultiPoly], s: List[MultiPoly],
+                   lam: List[MultiPoly | None]) -> List[List[MultiPoly]]:
+    """[e_r^T adj(A)^n for n = 0..t_max] from the factors of adj(A), each
+    step u -> u adj(A) in O(k) products with no (k+1)^2 matrix built:
+    v_j = s_j S_j + t_j T_j, S_j = sum_{i<=j} u_i t_i and
+    T_j = lam_{j+1} (T_{j+1} + u_{j+1} s_{j+1}), T_k = 0."""
+    zero = MultiPoly.zero()
+    u = [MultiPoly.const(1) if i == r else zero for i in range(len(t))]
+    out = [u]
+    for _ in range(t_max):
+        T = [zero] * len(u)
+        for j in range(len(u) - 2, -1, -1):
+            T[j] = lam[j + 1] * (T[j + 1] + u[j + 1] * s[j + 1])
+        S, v = zero, []
+        for j, uj in enumerate(u):
+            S = S + uj * t[j]
+            v.append(s[j] * S + t[j] * T[j])
+        u = v
+        out.append(u)
+    return out
+
+
+def adjugate_vectors(k: int, spec: WeightSpec, r: int,
+                     t_max: int) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
+    """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
+    ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
+    e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
+    caller.  Raises IllDefinedError on a singular A."""
+    if not 0 <= r <= k:
+        raise IndexError(f"start height {r} outside [0, {k}]")
+    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
+    return det, _adjugate_rows(r, t_max, t, s, lam)
+
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
-    """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k) from one series
-    expansion of ``negative_moment_gf``; ``series_expand`` divides each
-    coefficient by its power of P_{k+1}(0) once."""
-    return series_expand(negative_moment_gf(r, s, k, spec), n_max + 1)[1:]
+    """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k):
+    mu_{-t} = (e_r^T adj(A)^t e_s) / det(A)^t, one stepping for the whole
+    table, each value divided once by ``over_power``.  Checks the domain
+    (P_{k+1}(0) = +-det A), then the heights."""
+    det, t_hat, s_hat, lam = _adjugate_factors(
+        k, spec, f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension")
+    if not (0 <= r <= k and 0 <= s <= k):
+        raise IndexError("heights must lie in [0, k]")
+    vecs = _adjugate_rows(r, n_max, t_hat, s_hat, lam)
+    return [over_power(vecs[t][s], det, t) for t in range(1, n_max + 1)]
 
 
 def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
     """mu_{-n,r,s}^{<=k} from ``negative_moments``; prefer that for a
-    whole table.  The matrix route is ``adjugate_vectors``."""
+    whole table."""
     if n < 1:
         raise ValueError("negative index n must be >= 1")
     return negative_moments(n, r, s, k, spec)[n - 1]   # checks the domain first
 
 
-# -- closed-form tridiagonal inverses ---------------------------------------------
-
 def usmani_inverse(k: int, spec: WeightSpec) -> Tuple[Matrix, MultiPoly]:
-    """Tridiagonal inverse A^{-1} = N / theta_{k+1} from the continuant
-    recurrences, as the polynomial pair (N, theta_{k+1}) with
-    A N = theta_{k+1} I; theta_{k+1} = det A and N = adj(A).  A singular A
-    raises IllDefinedError with det A as its certificate.
-
-    theta_i runs the leading principal minors and phi_i the trailing ones,
-    phi_{j+2} = det A[j+1..k], which are the leading minors of the
-    index-reversed matrix; N_{ij} is (-1)^{i+j} theta_i phi_{j+2} on and
-    above the diagonal, with the product lam_{j+1}..lam_i attached below it.
-    """
-    theta = _continuants(k, spec)
-    det = theta[k + 1]
-    if det.is_zero():
-        raise IllDefinedError(f"transfer matrix singular for {spec.name}", det)
-    phi = _continuants(k, spec.reversed(k))   # phi_{j+2} = phi[k - j]
+    """Tridiagonal inverse A^{-1} = N / det A as the polynomial pair
+    (N, det A) with A N = det(A) I, N = adj(A) written out entry by entry
+    from ``_adjugate_factors``.  A singular A raises IllDefinedError with
+    det A as its certificate."""
+    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
     rows = []
     for i in range(k + 1):
         row = []
         for j in range(k + 1):
             if i <= j:
-                num = theta[i] * phi[k - j]
+                row.append(t[i] * s[j])
             else:
                 prod = MultiPoly.const(1)
-                for t in range(j + 1, i + 1):
-                    prod = prod * spec.lam(t)
-                num = prod * theta[j] * phi[k - i]
-            if (i + j) % 2:
-                num = -num
-            row.append(num)
+                for m in range(j + 1, i + 1):
+                    prod = prod * lam[m]
+                row.append(prod * t[j] * s[i])
         rows.append(row)
     return Matrix(rows), det
 

@@ -12,10 +12,10 @@ a power of d is not polynomial.  No arithmetic is defined on RatFunc:
 the program computes in the polynomial ring and divides once.
 
 The series utilities treat ``x`` as the distinguished series variable;
-all other variables ride along inside the coefficients.  Series and
-power quotients are fraction-free (after Bareiss 1968): numerators stay
-in the polynomial ring and the one known denominator, a power of den(0),
-is divided out once at the end (``over_power``), never by a gcd per step.
+all other variables ride along inside the coefficients.  A series is
+expanded only over a Laurent-unit den(0), so its coefficients stay in the
+polynomial ring; a quotient by any other polynomial is formed in the ring
+and divided once by ``over_power``, the only place a quotient is reduced.
 """
 
 from __future__ import annotations
@@ -130,19 +130,13 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
     return num
 
 
-def series_expand(f: RatFunc, n_terms: int) -> List[Union[MultiPoly, RatFunc]]:
+def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
     """First ``n_terms`` power-series coefficients of f around x = 0.
 
     With den = d0 + d1 x + ... and num = a0 + a1 x + ..., the coefficients
-    c_n satisfy d0 c_n = a_n - sum_j d_j c_{n-j}.  When d0 is a Laurent
-    unit each c_n is that right side times d0's inverse, a MultiPoly.
-    Otherwise the expansion is fraction-free: N_n = c_n d0^{n+1} obeys
-
-        N_n = a_n d0^n - sum_j d_j N_{n-j} d0^{j-1}
-
-    in the polynomial ring, and each c_n = N_n / d0^{n+1} is divided out
-    once by ``over_power``, so c_n is a MultiPoly when it is polynomial and
-    a RatFunc in lowest terms otherwise.  f itself need not be reduced.
+    c_n satisfy d0 c_n = a_n - sum_j d_j c_{n-j}.  d0 must be a Laurent
+    unit, so each c_n is that right side times d0's inverse, a MultiPoly;
+    any other d0 raises ArithmeticError.  f itself need not be reduced.
     """
     den_u = x_coeffs(f.den)
     num_u = x_coeffs(f.num)
@@ -151,30 +145,18 @@ def series_expand(f: RatFunc, n_terms: int) -> List[Union[MultiPoly, RatFunc]]:
     d0 = den_u.pop(0, None)
     if d0 is None:
         raise ZeroDivisionError("denominator vanishes at x = 0")
+    if not d0.is_term():
+        raise ArithmeticError(f"series expansion needs a Laurent-unit den(0), not {d0.render()}")
+    inv0 = d0.unit_inverse()
     zero = MultiPoly.zero()
-    if d0.is_term():
-        inv0 = d0.unit_inverse()
-        coeffs: List[MultiPoly] = []
-        for n in range(n_terms):
-            acc = num_u.get(n, zero)
-            for j, dj in den_u.items():
-                if j <= n:
-                    acc = acc - dj * coeffs[n - j]
-            coeffs.append(acc * inv0)
-        return coeffs
-    powers = [MultiPoly.const(1)]          # powers[i] = d0^i
-    scaled: List[MultiPoly] = []           # scaled[n] = N_n
-    out: List[Union[MultiPoly, RatFunc]] = []
+    coeffs: List[MultiPoly] = []
     for n in range(n_terms):
-        if n:
-            powers.append(powers[-1] * d0)
-        acc = num_u[n] * powers[n] if n in num_u else zero
+        acc = num_u.get(n, zero)
         for j, dj in den_u.items():
             if j <= n:
-                acc = acc - dj * scaled[n - j] * powers[j - 1]
-        scaled.append(acc)
-        out.append(over_power(acc, d0, n + 1))
-    return out
+                acc = acc - dj * coeffs[n - j]
+        coeffs.append(acc * inv0)
+    return coeffs
 
 
 def invert_x(p: MultiPoly, degree: int) -> MultiPoly:

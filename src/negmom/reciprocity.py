@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import paths
 from .laurent import schroeder_count_reciprocity, sigma_negative
@@ -24,7 +24,6 @@ from .moments import (
     bounded_moment,
     moment_vectors,
     negative_moment,
-    negative_moment_gf,
     negative_moments,
     transfer_matrix,
     usmani_inverse,
@@ -529,20 +528,22 @@ def _v_ratio(r: int, s: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _pinned_pv3_gf(r: int, s: int, bound: int, unit_weights: bool) -> RatFunc:
-    """The ``negative_moment_gf`` of the pinned 3-PV moments,
-    under ``one_one()`` or ``v_inverse()``.  A ``pv3-rs`` grid's tuples that
-    differ only in n share it.  The key holds integers and a flag set in
-    this module, never a caller's ``WeightSpec``: specs compare by name."""
-    spec = one_one() if unit_weights else v_inverse()
-    return negative_moment_gf(r, s, bound, spec)
+def _pinned_pv3_row(n: int, r: int, bound: int,
+                    unit_weights: bool) -> Tuple[MultiPoly, List[MultiPoly]]:
+    """(det A, e_r^T adj(A)^n) at the bound under ``one_one()`` or
+    ``v_inverse()``: a ``pv3-rs`` grid's tuples that differ only in s share
+    it.  The key holds integers and a flag set in this module, never a
+    caller's ``WeightSpec``: specs compare by name."""
+    d, vecs = adjugate_vectors(bound, one_one() if unit_weights else v_inverse(), r, n)
+    return d, vecs[n]
 
 
 def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -> Value:
     """``negative_moment(n, r, s, bound, spec)`` for the spec named by the flag."""
     if n < 1:
         raise ValueError("negative index n must be >= 1")
-    return series_expand(_pinned_pv3_gf(r, s, bound, unit_weights), n + 1)[n]
+    d, row = _pinned_pv3_row(n, r, bound, unit_weights)
+    return over_power(row[s], d, n)
 
 
 def _v_sum(seqs) -> MultiPoly:

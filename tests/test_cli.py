@@ -242,18 +242,16 @@ def test_moment_negative_rational_matches_sympy(capsys, k, n_max, b_arg):
           "--lambda", "custom:[7/6,8,8,5/7,1,9/4,1/4,1,4/7,3/2]"]),
     (6, ["--k", "2", "--b", "custom:[1,2]", "--r", "2", "--s", "0"]),
 ])
-def test_moment_negative_table_is_one_expansion(capsys, monkeypatch, n_max, argv):
-    from negmom import moments, ratfunc
+def test_moment_negative_table_is_one_stepping(capsys, monkeypatch, n_max, argv):
+    # the whole table comes from one run of rows e_r^T adj(A)^t, t <= n_max
+    from negmom import moments
     calls = []
-
-    def counted(f, n_terms):
-        calls.append(n_terms)
-        return ratfunc.series_expand(f, n_terms)
-
-    monkeypatch.setattr(moments, "series_expand", counted)
+    rows = moments._adjugate_rows
+    monkeypatch.setattr(moments, "_adjugate_rows",
+                        lambda r, t_max, *a: calls.append(t_max) or rows(r, t_max, *a))
     code, out, _ = run_cli(["moment", "--n", f"1..{n_max}", "--negative"] + argv, capsys)
     assert code == 0 and len(data_lines(out)) == n_max
-    assert calls == [n_max + 1]
+    assert calls == [n_max]
 
 
 def test_moment_negative_index_below_one_prints_no_table(capsys):

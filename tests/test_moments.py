@@ -1,8 +1,12 @@
-"""Moment engine against the path oracles and its own second routes."""
+"""Moment engine against the path oracles, the generating-function oracle
+of gf_oracle.py and sympy."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom import reciprocity
@@ -12,24 +16,27 @@ from negmom.moments import (
     IllDefinedError,
     adjugate_vectors,
     bounded_moment,
-    moment_gf,
     moment_vectors,
-    negative_cf,
     negative_moment,
-    negative_moment_gf,
     negative_moments,
     orth_poly,
-    inverted_poly,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
-    viennot_cf,
     well_defined,
 )
 from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_factors, weight_sum
 from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc, over_power, reverse_gf, series_expand, x_coeffs
+from negmom.ratfunc import RatFunc, reverse_gf, series_expand, x_coeffs
 from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
+from gf_oracle import (
+    gf_series,
+    inverted_poly,
+    moment_gf,
+    negative_cf,
+    negative_moment_gf,
+    viennot_cf,
+)
 from test_matrix import adjugate
 
 SYM = W.symbolic()
@@ -132,15 +139,25 @@ def _as_rat(v):
     return RatFunc(v) if isinstance(v, MultiPoly) else v
 
 
-def _matrix_inverse_route(n, r, s, k, spec):
-    """mu_{-n,r,s}^{<=k} as e_r^T adj(A)^n e_s / det(A)^n."""
-    det, vecs = adjugate_vectors(k, spec, r, n)
-    return over_power(vecs[n][s], det, n)
+def _dense_inverse_rows(n_max, r, k, spec):
+    """[e_r^T A^{-n} for n = 0..n_max] from sympy's dense inverse of A, as
+    sympy rows: shares no code with the stepped adj(A) route."""
+    sympy = pytest.importorskip("sympy")
+    A = transfer_matrix(k, spec)
+    inv = sympy.Matrix(k + 1, k + 1, lambda i, j: _to_sympy(sympy, A[i, j])).inv()
+    rows = [sympy.eye(k + 1)[r, :]]
+    for _ in range(n_max):
+        rows.append((rows[-1] * inv).applyfunc(sympy.cancel))
+    return rows
+
+
+def _to_sympy(sympy, v):
+    return sympy.parse_expr(v.render().replace("^", "**"))
 
 
 def _recurrence_route(n, r, s, k, spec):
     """Step the reduced-denominator recurrence backwards to index -n,
-    fraction-free: one division by q_d^n at the end."""
+    fraction-free: the unreduced pair window / q_d^n at the end."""
     f = moment_gf(r, s, k, spec)
     if f.is_zero():
         return MultiPoly.zero()
@@ -159,27 +176,72 @@ def _recurrence_route(n, r, s, k, spec):
             if qj is not None:
                 acc = acc - qj * window[d - 1 - j]
         window = [acc] + [w * qd for w in window[:-1]]
-    return over_power(window[0], qd, n)
+    return RatFunc(window[0], qd ** n)
 
 
 def test_negative_routes_agree():
-    # the gf-reverse table (one expansion) entry by entry against the
-    # matrix-inverse and recurrence routes, r > s (a lam product) included;
-    # under custom:[1,2], P_3(0) is a non-unit polynomial in b2 and lam, so
-    # its backward values are rational and take the fraction-free division
+    # the stepped table (one adj(A) stepping) entry by entry against three
+    # oracles that share no code with it: the series of the reversed gf,
+    # the recurrence stepped backwards, and sympy's dense inverse of A;
+    # r > s (a lam product) included.  Under custom:[1,2], P_3(0) is a
+    # non-unit polynomial in b2 and lam, so its backward values are rational
+    sympy = pytest.importorskip("sympy")
     n_max = 5
     for spec, kk in ((Z1, 3), (ONES, 2), (W.v_inverse(), 2), (W.v_inverse(), 3),
                      (W.spec("custom:[1,2]", "symbolic"), 2)):
         for r in range(kk + 1):
+            dense = _dense_inverse_rows(n_max, r, kk, spec)
             for s in range(kk + 1):
                 table = negative_moments(n_max, r, s, kk, spec)
                 assert len(table) == n_max
+                series = gf_series(negative_moment_gf(r, s, kk, spec), n_max + 1)
                 for n in range(1, n_max + 1):
                     assert negative_moment(n, r, s, kk, spec) == table[n - 1]
-                    for route in (_matrix_inverse_route, _recurrence_route):
-                        want = route(n, r, s, kk, spec)
-                        assert _as_rat(table[n - 1]) == _as_rat(want), \
-                            (spec.name, kk, n, r, s, route.__name__)
+                    where = (spec.name, kk, n, r, s)
+                    assert _as_rat(table[n - 1]) == series[n], where
+                    assert _as_rat(table[n - 1]) == \
+                        _as_rat(_recurrence_route(n, r, s, kk, spec)), where
+                    diff = _to_sympy(sympy, table[n - 1]) - dense[n][s]
+                    assert sympy.cancel(diff) == 0, where
+
+
+# mini-language weights with zeros, rational entries and Laurent weights;
+# custom lists continue symbolically past their length
+_custom = st.lists(st.sampled_from(["0", "0", "1", "-1", "2", "1/2"]), min_size=1,
+                   max_size=4).map(lambda cs: "custom:[" + ",".join(cs) + "]")
+_b_exprs = st.sampled_from(["zero", "one", "symbolic", "v-inverse"]) | _custom
+_lam_exprs = st.sampled_from(["zero", "one", "symbolic", "dyck-v", "v-inverse"]) | _custom
+
+
+@lru_cache(maxsize=None)
+def _symbolic_table(r, s, k):
+    return negative_moments(4, r, s, k, SYM)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stepped_table_specializes_and_matches_the_reversed_gf(data):
+    # derandomized in tier-1 by the conftest profile
+    k = data.draw(st.integers(0, 3), "k")
+    r, s = data.draw(st.integers(0, k), "r"), data.draw(st.integers(0, k), "s")
+    spec = W.spec(data.draw(_b_exprs, "b"), data.draw(_lam_exprs, "lam"))
+    point = {("b", i): spec.b(i) for i in range(k + 1)}
+    point.update({("lam", i): spec.lam(i) for i in range(1, k + 1)})
+    ok, cert = well_defined(k, spec)
+    assert well_defined(k, SYM)[1].subs(point) == cert   # d specializes
+    if not ok:   # IllDefinedError exactly when d specializes to 0
+        with pytest.raises(IllDefinedError):
+            negative_moments(4, r, s, k, spec)
+        with pytest.raises(IllDefinedError):
+            negative_moment_gf(r, s, k, spec)
+        return
+    table = negative_moments(4, r, s, k, spec)
+    series = gf_series(negative_moment_gf(r, s, k, spec), 5)
+    for n, (got, sym) in enumerate(zip(table, _symbolic_table(r, s, k)), 1):
+        got, sym = _as_rat(got), _as_rat(sym)
+        assert got == series[n], n
+        num, den = sym.num.subs(point), sym.den.subs(point)
+        assert not den.is_zero() and num * got.den == got.num * den, n
 
 
 def test_negative_moments_checks_the_domain():
@@ -195,8 +257,8 @@ def test_same_spec_name_different_weights_get_their_own_values():
     assert ones == twos
     for spec in (ones, twos, ones):
         for n in (1, 2, 3):
-            assert negative_moment(n, 0, 0, 2, spec) == \
-                _matrix_inverse_route(n, 0, 0, 2, spec)
+            want = gf_series(negative_moment_gf(0, 0, 2, spec), n + 1)[n]
+            assert _as_rat(negative_moment(n, 0, 0, 2, spec)) == want
     assert negative_moment(2, 0, 0, 2, ones) != negative_moment(2, 0, 0, 2, twos)
 
 

@@ -388,18 +388,20 @@ def test_pv_wrappers():
     assert check_pv3_rs(1, 1, 9, 9).status == "SKIPPED"
 
 
-def test_pv3_rs_tuples_share_one_gf_across_n(monkeypatch):
-    built = []
-    real = reciprocity.negative_moment_gf
-    monkeypatch.setattr(reciprocity, "negative_moment_gf",
-                        lambda *args, **kw: built.append(args[:3]) or real(*args, **kw))
-    reciprocity._pinned_pv3_gf.cache_clear()
+def test_pv3_rs_tuples_share_one_row_across_s(monkeypatch):
+    stepped = []
+    real = reciprocity.adjugate_vectors
+    monkeypatch.setattr(reciprocity, "adjugate_vectors",
+                        lambda *args: stepped.append(args[2:]) or real(*args))
+    reciprocity._pinned_pv3_row.cache_clear()
     for n in (1, 2, 3):
         for r in range(4):
             for s in range(4):
                 assert check_pv3_rs(n, 1, r, s).passed, (n, r, s)
-    # one gf per (r, s, bound) and weight table: 9 pairs at bound 2, 16 at bound 3
-    assert len(built) == 2 * (9 + 16)
+    # one row e_r^T adj(A)^n per (n, r, bound) and weight table: 3 start
+    # heights at bound 2, 4 at bound 3, each stepped exactly n times
+    assert sorted(stepped) == sorted(2 * [(r, n) for n in (1, 2, 3) for r in range(3)]
+                                     + 2 * [(r, n) for n in (1, 2, 3) for r in range(4)])
     for n in (1, 4):
         assert reciprocity._pinned_pv3_moment(n, 2, 1, 5, unit_weights=False) == \
             negative_moment(n, 2, 1, 5, W.v_inverse())
