@@ -5,6 +5,7 @@ from .matrix import Matrix, determinant
 from .moments import (
     IllDefinedError,
     bounded_moment,
+    forward_moments,
     negative_moment,
     negative_moments,
     orth_poly,
@@ -26,6 +27,7 @@ __all__ = [
     "bounded_moment",
     "cf_eval",
     "determinant",
+    "forward_moments",
     "negative_moment",
     "negative_moments",
     "orth_poly",

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from . import paths, reciprocity
 from .moments import (
     IllDefinedError,
-    moment_vectors,
+    forward_moments,
     negative_moments,
     well_defined,
 )
@@ -136,7 +136,7 @@ def cmd_moment(args) -> int:
         for n in ns:
             report.add(n, _render_value(vals[n - 1]))
     else:
-        seq = [u[args.s] for u in moment_vectors(args.k, spec, args.r, max(ns))]
+        seq = forward_moments(ns[-1], args.r, args.s, args.k, spec)
         for n in ns:
             report.add(n, _render_value(seq[n]))
     report.close()

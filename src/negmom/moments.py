@@ -6,14 +6,20 @@ n-th power of the tridiagonal matrix
     A(k; b, lam) = tridiag(lam_1..lam_k; b_0..b_k; 1..1)
 
 is the weighted count of height-bounded Motzkin paths from height r to
-height s.  The backward side extends that sequence along its linear
-recurrence by one route: stepping the inverse A^{-1} = adj(A) / det A.
-One continuant loop, ``_continuants``, gives the leading and trailing
-minors of A, and from them det A, ``well_defined``'s
-P_{k+1}(0) = (-1)^{k+1} det A, and the factors of adj(A), which is
-semiseparable, so a row steps through u -> u adj(A) in O(k) products
-(``adjugate_vectors``, ``negative_moments``); ``usmani_inverse`` writes
-the same factors out as a matrix.  The paper's other route, reversing the
+height s.  ``moment_vectors`` steps the rows e_r^T A^n.  A is tridiagonal,
+so a table of one entry (``forward_moments``, ``bounded_moment``) forms at
+step n only the light cone of its end height s, the entries j with
+|j - s| <= n_max - n that are not zero anyway (|j - r| <= n); whole rows
+are kept only for the identities that sum them.
+
+The backward side extends that sequence along its linear recurrence by
+one route: stepping the inverse A^{-1} = adj(A) / det A.  One continuant
+loop, ``_continuants``, gives the leading and trailing minors of A, and
+from them det A, ``well_defined``'s P_{k+1}(0) = (-1)^{k+1} det A, and
+the factors of adj(A), which is semiseparable, so a row steps through
+u -> u adj(A) in O(k) products (``adjugate_vectors``,
+``negative_moments``); ``usmani_inverse`` writes the same factors out as
+a matrix.  The paper's other route, reversing the
 generating function, and stepping the recurrence itself are kept in the
 tests as oracles.
 
@@ -68,37 +74,55 @@ def transfer_matrix(k: int, spec: WeightSpec) -> Matrix:
     return Matrix(rows)
 
 
-def moment_vectors(k: int, spec: WeightSpec, r: int, n_max: int) -> Iterator[List[MultiPoly]]:
-    """Yield the row vectors e_r^T A^n for n = 0..n_max."""
+def moment_vectors(k: int, spec: WeightSpec, r: int, n_max: int,
+                   s: int | None = None) -> Iterator[List[MultiPoly]]:
+    """Yield the row vectors e_r^T A^n for n = 0..n_max.
+
+    A is tridiagonal, so entry j of the n-th row is zero when |j - r| > n
+    and is not formed.  With a target height s, step n forms entry j only
+    when it can still reach s in the steps left, |j - s| <= n_max - n, and
+    leaves the others zero, so only entry s is exact in every row.  Whole
+    rows (no s) are for the callers that sum them.  Checks the end height
+    s, then the start height r."""
+    if s is not None and not 0 <= s <= k:
+        raise IndexError(f"end height {s} outside [0, {k}]")
     if not 0 <= r <= k:
         raise IndexError(f"start height {r} outside [0, {k}]")
-    u = [MultiPoly.const(1) if i == r else MultiPoly.zero() for i in range(k + 1)]
+    zero = MultiPoly.zero()
+    u = [zero] * (k + 1)
+    u[r] = MultiPoly.const(1)
     yield u
     bs = [spec.b(i) for i in range(k + 1)]
     lams = [None] + [spec.lam(i) for i in range(1, k + 1)]
-    for _ in range(n_max):
-        nu = []
-        for j in range(k + 1):
+    lo, hi = (0, k) if s is None else (s, s)   # the entries the caller reads
+    for n in range(1, n_max + 1):
+        left = n_max - n                         # steps still to take
+        nu = [zero] * (k + 1)
+        for j in range(max(0, r - n, lo - left), min(k, r + n, hi + left) + 1):
             acc = u[j] * bs[j]
             if j > 0:
                 acc = acc + u[j - 1]
             if j < k:
                 acc = acc + u[j + 1] * lams[j + 1]
-            nu.append(acc)
+            nu[j] = acc
         u = nu
         yield u
 
 
-def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPoly:
-    """Weighted count of bounded Motzkin paths: e_r^T A^n e_s."""
-    if n < 0:
+def forward_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[MultiPoly]:
+    """[mu_0, ..., mu_{n_max}] (heights r, s, bound k), mu_n = e_r^T A^n e_s:
+    the mirror of ``negative_moments``, one stepping of ``moment_vectors``
+    for the whole table, forming at step n only the light cone of entry s.
+    Checks n_max >= 0, then the end height, then the start height."""
+    if n_max < 0:
         raise ValueError("use negative_moment for negative indices")
-    if not 0 <= s <= k:
-        raise IndexError(f"end height {s} outside [0, {k}]")
-    for i, u in enumerate(moment_vectors(k, spec, r, n)):
-        if i == n:
-            return u[s]
-    raise AssertionError("unreachable")
+    return [u[s] for u in moment_vectors(k, spec, r, n_max, s)]
+
+
+def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPoly:
+    """Weighted count of bounded Motzkin paths: e_r^T A^n e_s, from
+    ``forward_moments``; prefer that for a whole table."""
+    return forward_moments(n, r, s, k, spec)[n]
 
 
 # -- orthogonal polynomials and continuants ---------------------------------------

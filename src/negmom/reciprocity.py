@@ -22,6 +22,7 @@ from .moments import (
     IllDefinedError,
     adjugate_vectors,
     bounded_moment,
+    forward_moments,
     moment_vectors,
     negative_moment,
     negative_moments,
@@ -124,14 +125,14 @@ def _combine(identity: str, params: Dict[str, object],
 def _moment_run(bound: int, spec: WeightSpec, start: int, step: int,
                 count: int) -> List[Value]:
     """The count moments mu_start, mu_{start+step}, ... (heights 0, 0) at
-    the bound: forward at indices >= 0, backward (one series expansion)
-    below 0.  Nothing is computed when count is 0, so an empty Hankel grid
-    costs nothing."""
+    the bound: ``forward_moments`` at indices >= 0, ``negative_moments``
+    below 0, one stepping each.  Nothing is computed when count is 0, so
+    an empty Hankel grid costs nothing."""
     js = range(start, start + step * count, step)
     if not js:
         return []
     lo, hi = min(js), max(js)
-    fwd = [u[0] for u in moment_vectors(bound, spec, 0, hi)] if hi >= 0 else []
+    fwd = forward_moments(hi, 0, 0, bound, spec) if hi >= 0 else []
     back = negative_moments(-lo, 0, 0, bound, spec) if lo < 0 else []
     return [fwd[j] if j >= 0 else back[-j - 1] for j in js]
 

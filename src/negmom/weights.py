@@ -179,7 +179,8 @@ def parse_gen(expr: str, family: str) -> Gen:
 
     Grammar: zero | one | neg-one | bsq | b-special:<ell> | v-inverse |
     dyck-v | custom:[c1,c2,...] | symbolic.  Custom lists are finite
-    prefixes of rationals, continued symbolically past their length.
+    prefixes of rationals, continued symbolically past their length; an
+    empty entry is an error, and custom:[] is all symbolic.
     """
     expr = expr.strip()
     if expr == "zero":
@@ -214,9 +215,11 @@ def parse_gen(expr: str, family: str) -> Gen:
         return fn
     if expr.startswith("custom:[") and expr.endswith("]"):
         body = expr[len("custom:["):-1]
+        toks = body.split(",") if body.strip() else []
+        if not all(tok.strip() for tok in toks):
+            raise ValueError(f"empty entry in {expr!r}")
         try:
-            vals: Sequence[Fraction] = tuple(Fraction(tok) for tok in body.split(",")
-                                             if tok.strip())
+            vals: Sequence[Fraction] = tuple(Fraction(tok) for tok in toks)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {expr!r}") from None
         sym = _sym_gen(family)

@@ -254,6 +254,27 @@ def test_moment_negative_table_is_one_stepping(capsys, monkeypatch, n_max, argv)
     assert calls == [n_max]
 
 
+_B12 = "custom:[3/2,5/2,1,8/7,2,8,1,1/8,5/4,1/3,1,1/9,1/7]"
+_LAM12 = "custom:[4/7,1/9,1/2,8/9,2/3,1,8/5,1/7,9/2,3/5,1/3,9/7]"
+
+
+@pytest.mark.parametrize("n_max, argv, s", [
+    (12, ["--k", "4"], 0),
+    (40, ["--k", "12", "--b", _B12, "--lambda", _LAM12, "--r", "3", "--s", "9"], 9),
+    (6, ["--k", "2", "--r", "2", "--s", "1", "--format", "json"], 1),
+])
+def test_moment_table_is_one_stepping(capsys, monkeypatch, n_max, argv, s):
+    # the whole forward table comes from one run of n_max steps aimed at s
+    from negmom import moments
+    calls = []
+    rows = moments.moment_vectors
+    monkeypatch.setattr(moments, "moment_vectors", lambda k, spec, r, n, *a:
+                        calls.append((n, *a)) or rows(k, spec, r, n, *a))
+    code, out, _ = run_cli(["moment", "--n", f"0..{n_max}"] + argv, capsys)
+    assert code == 0 and str(n_max) in out
+    assert calls == [(n_max, s)]
+
+
 def test_moment_negative_index_below_one_prints_no_table(capsys):
     code, out, err = run_cli(["moment", "--n", "0..3", "--k", "3", "--negative",
                               "--b", "zero", "--lambda", "one"], capsys)
@@ -312,7 +333,10 @@ def test_moment_negative_huge_weight_stays_exact(capsys):
 
 @pytest.mark.parametrize("weights", [["--b", "custom:[1/0]", "--lambda", "one"],
                                      ["--b", "one", "--lambda", "custom:[2,1/0]"],
-                                     ["--b", "custom:[nan]", "--lambda", "one"]])
+                                     ["--b", "custom:[nan]", "--lambda", "one"],
+                                     ["--b", "custom:[,2]", "--lambda", "one"],
+                                     ["--b", "custom:[1,,2]", "--lambda", "one"],
+                                     ["--b", "custom:[1,2,]", "--lambda", "one"]])
 def test_custom_weight_without_a_value_is_usage_error(weights, capsys):
     code, out, err = run_cli(["moment", "--n", "0..2", "--k", "2"] + weights, capsys)
     assert code == 2 and out == ""
@@ -603,24 +627,38 @@ def test_verify_json_golden(argv, code, rows, capsys):
     assert (got_code, got, err) == (code, rows, "")
 
 
-def _moment_golden_runs():
-    """(argv, exit code, stdout lines) of each run in moment_golden.txt."""
+def _moment_golden_runs(name, id_from):
+    """(argv, exit code, stdout lines) of each run in the golden file name,
+    each run's id its argv from word id_from on."""
     from pathlib import Path
     runs = []
-    for line in (Path(__file__).parent / "moment_golden.txt").read_text().splitlines():
+    for line in (Path(__file__).parent / name).read_text().splitlines():
         if line.startswith("$ "):
             argv, code = line[2:].split("  # exit ")
-            argv = argv.split()   # moment --n 1..4 --negative <flags>
-            runs.append(pytest.param(argv, int(code), [], id=" ".join(argv[4:])))
+            argv = argv.split()
+            runs.append(pytest.param(argv, int(code), [], id=" ".join(argv[id_from:])))
         elif not line.startswith("#"):
             runs[-1].values[2].append(line)
     return runs
 
 
-@pytest.mark.parametrize("argv, code, lines", _moment_golden_runs())
-def test_moment_negative_rendered_golden(argv, code, lines, capsys):
-    # rational values in lowest terms, their denominators normalized, rendered
-    # byte for byte: a change of either shows here, not in a value check
+def _assert_moment_golden(argv, code, lines, capsys):
     got_code, out, err = run_cli(argv, capsys)
     got = [line for line in out.splitlines() if not line.startswith("# elapsed")]
     assert (got_code, got, err) == (code, lines, "")
+
+
+# the ids drop the common `moment --n 1..4 --negative`
+@pytest.mark.parametrize("argv, code, lines", _moment_golden_runs("moment_golden.txt", 4))
+def test_moment_negative_rendered_golden(argv, code, lines, capsys):
+    # rational values in lowest terms, their denominators normalized, rendered
+    # byte for byte: a change of either shows here, not in a value check
+    _assert_moment_golden(argv, code, lines, capsys)
+
+
+@pytest.mark.parametrize("argv, code, lines",
+                         _moment_golden_runs("moment_forward_golden.txt", 1))
+def test_moment_forward_rendered_golden(argv, code, lines, capsys):
+    # forward tables byte for byte: every (r, s) corner, ranges not starting
+    # at 0, custom prefixes, fractional and Laurent weights, csv and json
+    _assert_moment_golden(argv, code, lines, capsys)

@@ -16,6 +16,7 @@ from negmom.moments import (
     IllDefinedError,
     adjugate_vectors,
     bounded_moment,
+    forward_moments,
     moment_vectors,
     negative_moment,
     negative_moments,
@@ -76,6 +77,68 @@ def test_oracle_equivalence_symbolic():
                 for s in range(k + 1):
                     assert bounded_moment(n, r, s, k, SYM) == \
                         oracle_moment(n, r, s, k, SYM), (n, r, s, k)
+
+
+def test_bounded_moment_error_order():
+    # n < 0 first, then the end height, then the start height
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="^use negative_moment for negative indices$"):
+            bounded_moment(-1, bad, bad, 2, SYM)
+        with pytest.raises(IndexError, match=rf"^end height {bad} outside \[0, 2\]$"):
+            bounded_moment(1, bad, bad, 2, SYM)
+        with pytest.raises(IndexError, match=rf"^start height {bad} outside \[0, 2\]$"):
+            bounded_moment(1, bad, 1, 2, SYM)
+    with pytest.raises(ValueError, match="^use negative_moment for negative indices$"):
+        forward_moments(-1, 9, 9, 2, SYM)
+    with pytest.raises(IndexError, match=r"^end height -1 outside \[0, 2\]$"):
+        forward_moments(3, 0, -1, 2, SYM)
+
+
+class _ProbeB(MultiPoly):
+    """A weight b_j that logs j each time a row entry j is formed (u_j b_j):
+    as a subclass on the right of ``*``, its ``__rmul__`` runs first."""
+    __slots__ = ("height", "log")
+
+    def __rmul__(self, other):
+        self.log.append(self.height)
+        return MultiPoly.__mul__(self, other)
+
+
+def _formed_heights(k, r, n_max, s):
+    """[sorted heights formed at step n for n = 1..n_max] and the rows."""
+    log = []
+
+    def b(i):
+        p = _ProbeB.variable("b", i)
+        p.height, p.log = i, log
+        return p
+
+    rows = moment_vectors(k, W.WeightSpec("probe", b, SYM.lam), r, n_max, s)
+    formed, out = [], [next(rows)]
+    for _ in range(n_max):
+        log.clear()
+        out.append(next(rows))
+        formed.append(sorted(log))
+    return formed, out
+
+
+@pytest.mark.parametrize("k, r, s, n_max", [
+    (6, 0, 0, 5), (6, 1, 5, 7), (8, 7, 2, 6), (3, 0, 3, 2), (5, 2, 2, 12), (4, 0, 4, 3),
+])
+def test_forward_steps_form_only_the_light_cone(k, r, s, n_max):
+    # step n forms entry j only when |j - s| <= n_max - n (it can still reach
+    # s) and |j - r| <= n (it is not zero anyway); entry s is exact throughout
+    formed, rows = _formed_heights(k, r, n_max, s)
+    whole_formed, whole = _formed_heights(k, r, n_max, None)
+    for n in range(1, n_max + 1):
+        left = n_max - n
+        assert formed[n - 1] == [j for j in range(k + 1)
+                                 if abs(j - s) <= left and abs(j - r) <= n], n
+        # whole rows, for the callers that sum them, form the cone of r only
+        assert whole_formed[n - 1] == [j for j in range(k + 1) if abs(j - r) <= n], n
+    assert [u[s] for u in rows] == [u[s] for u in whole]
+    assert all(u[j] == oracle_moment(n, r, j, k, SYM)
+               for n, u in enumerate(whole) if n <= 6 for j in range(k + 1))
 
 
 def test_orth_poly_recurrence():
@@ -211,6 +274,31 @@ _custom = st.lists(st.sampled_from(["0", "0", "1", "-1", "2", "1/2"]), min_size=
                    max_size=4).map(lambda cs: "custom:[" + ",".join(cs) + "]")
 _b_exprs = st.sampled_from(["zero", "one", "symbolic", "v-inverse"]) | _custom
 _lam_exprs = st.sampled_from(["zero", "one", "symbolic", "dyck-v", "v-inverse"]) | _custom
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_forward_moments_match_sympy_matrix_powers(data):
+    # derandomized in tier-1 by the conftest profile; the oracle is sympy's
+    # (A^n)[r, s], built from the weights alone, sharing no stepping code
+    sympy = pytest.importorskip("sympy")
+    k = data.draw(st.integers(0, 4), "k")
+    n_max = data.draw(st.integers(0, 8), "n_max")
+    spec = W.spec(data.draw(_b_exprs, "b"), data.draw(_lam_exprs, "lam"))
+    b = [_to_sympy(sympy, spec.b(i)) for i in range(k + 1)]
+    lam = [None] + [_to_sympy(sympy, spec.lam(i)) for i in range(1, k + 1)]
+    A = sympy.Matrix(k + 1, k + 1, lambda i, j: b[i] if i == j else 1 if j == i + 1
+                     else lam[i] if j == i - 1 else 0)
+    powers = [sympy.eye(k + 1)]
+    for _ in range(n_max):
+        powers.append((powers[-1] * A).applyfunc(sympy.expand))
+    for r in range(k + 1):
+        for s in range(k + 1):
+            table = forward_moments(n_max, r, s, k, spec)
+            assert len(table) == n_max + 1
+            for n, got in enumerate(table):
+                diff = _to_sympy(sympy, got) - powers[n][r, s]
+                assert sympy.expand(diff) == 0, (spec.name, k, n, r, s)
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,20 @@ def test_weight_spec_compares_and_hashes_by_name():
     assert W.symbolic().reversed(3) == W.symbolic().reversed(3) != W.symbolic()
 
 
+def test_custom_lists_place_each_entry_at_its_index():
+    # an empty list is all symbolic; an empty entry is an error, never
+    # dropped (dropping one shifts every later weight down an index)
+    empty = W.spec("custom:[]", "custom:[ ]")
+    assert [empty.b(i) for i in range(3)] == [MultiPoly.variable("b", i) for i in range(3)]
+    assert empty.lam(1) == MultiPoly.variable("lam", 1)
+    s = W.spec("custom:[1, 2]", "custom:[3]")
+    assert [s.b(0), s.b(1), s.b(2)] == [1, 2, MultiPoly.variable("b", 2)]
+    assert [s.lam(1), s.lam(2)] == [3, MultiPoly.variable("lam", 2)]
+    for body in (",2", "1,,2", "1,2,", " , ", ","):
+        with pytest.raises(ValueError, match="^empty entry in "):
+            W.parse_gen(f"custom:[{body}]", "b")
+
+
 def test_weight_spec_is_immutable():
     spec = W.one_one()
     for attr in ("name", "b", "lam", "unknown"):
