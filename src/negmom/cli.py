@@ -13,6 +13,7 @@ timing appears in a trailing comment line of the text format.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -328,7 +329,14 @@ def cmd_verify(args) -> int:
     return INTERNAL_ERROR if "ERROR" in statuses else FAIL_ERROR if "FAIL" in statuses else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call (not at import)
+    and shared by every later one: parsing leaves it unchanged.  This
+    pays only where one process calls ``main`` more than once (the test
+    suite, a benchmark worker); a console-script run builds one parser
+    either way.  It names each subcommand (``command``) but binds no
+    function, so ``main`` looks its ``cmd_*`` up when it runs."""
     parser = argparse.ArgumentParser(
         prog="negmom",
         description="Exact bounded/negative moment computations and "
@@ -345,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="lambda-sequence expression")
     p_m.add_argument("--negative", action="store_true")
     p_m.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_m.set_defaults(func=cmd_moment)
 
     p_v = sub.add_parser("verify", help="run an identity over parameter ranges")
     p_v.add_argument("identity", choices=IDENTITIES)
@@ -359,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--mode", default="symbolic-VA",
                      choices=["symbolic-VA", "q", "q-unbounded"])
     p_v.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_v.set_defaults(func=cmd_verify)
 
     p_s = sub.add_parser("sequence", help="enumerate a combinatorial family")
     p_s.add_argument("family", choices=["alt", "pv", "schroeder", "motzkin", "rpp"])
@@ -375,15 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--emit", choices=["count", "list", "weights"],
                      default="count")
     p_s.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_s.set_defaults(func=cmd_sequence)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # the names are looked up at each call, so that a wrapper bound
+        # after the parser was built (a tracer, a test's patch) is the one run
+        commands = {"moment": cmd_moment, "verify": cmd_verify, "sequence": cmd_sequence}
+        code = commands[args.command](args)
         sys.stdout.flush()   # a closed pipe surfaces here, not at exit
         return code
     except BrokenPipeError:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
-from .poly import ExactDivisionError, MultiPoly, poly_div_exact
+from .poly import ExactDivisionError, MultiPoly, poly_div_exact, poly_dot
 
 Entry = Union[MultiPoly, int, Fraction]
 
@@ -67,16 +67,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.data[i][0] * other.data[0][j]
-                for t in range(1, self.cols):
-                    acc = acc + self.data[i][t] * other.data[t][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out)
+        cols = list(zip(*other.data))
+        return Matrix([[poly_dot(zip(row, col)) for col in cols] for row in self.data])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -26,7 +26,13 @@ tests as oracles.
 Every backward value is a quotient whose only denominator is a power of
 det A.  The rows stay in the polynomial ring and each value is divided by
 its power once (``over_power``), so a value is a MultiPoly when it is
-polynomial and a RatFunc in lowest terms otherwise.
+polynomial and a RatFunc in lowest terms otherwise.  A table pays each
+fixed cost once: a step sums each entry's products into one term dict
+(``poly_dot``), and ``over_power`` certifies det A, of degree 1 in b_k,
+irreducible once (``poly.irreducible``, one small gcd, cached by det A).
+When that holds, a failed trial division by det A already proves a
+value's pair coprime, so no value probes; a reducible det A
+(``custom:[2,0]`` lambdas) is probed value by value as before.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple, Union
 
 from .matrix import Matrix
-from .poly import MultiPoly
+from .poly import MultiPoly, poly_dot
 from .ratfunc import RatFunc, over_power
 from .weights import WeightSpec
 
@@ -185,18 +191,19 @@ def _adjugate_rows(r: int, t_max: int, t: List[MultiPoly], s: List[MultiPoly],
     """[e_r^T adj(A)^n for n = 0..t_max] from the factors of adj(A), each
     step u -> u adj(A) in O(k) products with no (k+1)^2 matrix built:
     v_j = s_j S_j + t_j T_j, S_j = sum_{i<=j} u_i t_i and
-    T_j = lam_{j+1} (T_{j+1} + u_{j+1} s_{j+1}), T_k = 0."""
+    T_j = lam_{j+1} (T_{j+1} + u_{j+1} s_{j+1}), T_k = 0.  Each of the
+    three sums is one ``poly_dot``, which builds none of its products."""
     zero = MultiPoly.zero()
     u = [MultiPoly.const(1) if i == r else zero for i in range(len(t))]
     out = [u]
     for _ in range(t_max):
         T = [zero] * len(u)
         for j in range(len(u) - 2, -1, -1):
-            T[j] = lam[j + 1] * (T[j + 1] + u[j + 1] * s[j + 1])
+            T[j] = lam[j + 1] * poly_dot(((u[j + 1], s[j + 1]),), T[j + 1])
         S, v = zero, []
         for j, uj in enumerate(u):
-            S = S + uj * t[j]
-            v.append(s[j] * S + t[j] * T[j])
+            S = poly_dot(((uj, t[j]),), S)
+            v.append(poly_dot(((s[j], S), (t[j], T[j]))))
         u = v
         out.append(u)
     return out

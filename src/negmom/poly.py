@@ -43,6 +43,7 @@ the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
@@ -462,26 +463,15 @@ class MultiPoly:
         at, bt = self._terms, other._terms
         if not at or not bt:
             return MultiPoly()
-        bound = self._bound + other._bound
-        if bound > EXPONENT_LIMIT:
-            bound = _product_bound(at, bt)
-        # keep the smaller operand outer
-        if len(at) > len(bt):
-            at, bt = bt, at
-        if len(at) == 1:
+        bound = _mul_bound(self, other)
+        if len(at) == 1 or len(bt) == 1:
+            if len(at) > 1:
+                at, bt = bt, at
             (k1, c1), = at.items()
             out = {k1 + k2: c1 * c2 for k2, c2 in bt.items()}
         else:
             out = {}
-            get = out.get
-            for k1, c1 in at.items():
-                for k2, c2 in bt.items():
-                    k = k1 + k2
-                    nc = get(k, 0) + c1 * c2
-                    if nc:
-                        out[k] = nc
-                    else:
-                        del out[k]
+            _add_product(out, at, bt)
         res = MultiPoly.__new__(MultiPoly)
         res._terms = out
         res._bound = bound
@@ -634,6 +624,52 @@ def poly_sum(polys: Iterable[MultiPoly]) -> MultiPoly:
                 del out[k]
         if p._bound > bound:
             bound = p._bound
+    return _wrap(out, bound)
+
+
+def _mul_bound(p: MultiPoly, q: MultiPoly) -> int:
+    """The exponent bound of p * q: the sum of the factors' bounds, made
+    exact when it passes the limit, so ``OverflowError`` is raised exactly
+    when the product leaves a field."""
+    bound = p._bound + q._bound
+    return bound if bound <= EXPONENT_LIMIT else _product_bound(p._terms, q._terms)
+
+
+def _add_product(out: Dict[int, Scalar], at: Dict[int, Scalar],
+                 bt: Dict[int, Scalar]) -> None:
+    """Add every product of a term of ``at`` and one of ``bt`` into the
+    term dict ``out``, dropping the coefficients that cancel: the one
+    product loop of ``__mul__`` and ``poly_dot``."""
+    if len(at) > len(bt):   # keep the smaller operand outer
+        at, bt = bt, at
+    get = out.get
+    for k1, c1 in at.items():
+        for k2, c2 in bt.items():
+            k = k1 + k2
+            c = get(k)
+            if c is None:   # a product of nonzero coefficients: no 0 + c
+                out[k] = c1 * c2
+            else:
+                c += c1 * c2
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+
+
+def poly_dot(pairs: Iterable[Tuple[MultiPoly, MultiPoly]],
+             start: MultiPoly | None = None) -> MultiPoly:
+    """``start + sum(a * b for a, b in pairs)``, every product of terms
+    added straight into one term dict (Monagan & Pearce 2009): no product
+    and no partial sum is built as a polynomial.  Each product's exponent
+    bound is ``__mul__``'s, so ``OverflowError`` is raised exactly when
+    ``a * b`` raises it; the result's is the largest, as in ``+``."""
+    out: Dict[int, Scalar] = {} if start is None else dict(start._terms)
+    bound = 0 if start is None else start._bound
+    for p, q in pairs:
+        if p._terms and q._terms:
+            bound = max(bound, _mul_bound(p, q))
+            _add_product(out, p._terms, q._terms)
     return _wrap(out, bound)
 
 
@@ -792,11 +828,8 @@ def _content_and_pp(p: MultiPoly, v: Var) -> Tuple[MultiPoly, Dict[int, MultiPol
 
 
 def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
-    out = MultiPoly()
     sh = _W * _slot(v)
-    for e, c in pu.items():
-        out = out + c._shifted(e << sh, abs(e))
-    return out
+    return poly_sum(c._shifted(e << sh, abs(e)) for e, c in pu.items())
 
 
 _PROBE_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -925,6 +958,27 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     gp = {e: poly_div_exact(c, cg) for e, c in gu.items()}
     pp = _subresultant_prs(fp, gp, v)
     return _normalize_gcd(cont * pp)
+
+
+@lru_cache(maxsize=64)
+def irreducible(d: MultiPoly) -> bool:
+    """Sound certificate that d is irreducible in the Laurent ring: True
+    only when that is proved, False when unsure (or d is a unit or zero).
+    Cached by d, so a table, whose values share one d = det A, pays for it
+    once.
+
+    With its monomial content stripped, d = c1 v + c0 for a variable v of
+    degree exactly 1, c1 and c0 nonzero and free of v.  By Gauss's lemma
+    such a polynomial is irreducible when gcd(c1, c0) is constant, and a
+    factorization in the Laurent ring strips to one of d's polynomial
+    part.  If d is irreducible every such v certifies it, so one
+    ``poly_gcd``, at the first such v in variable order, decides."""
+    _, _, dh = _strip_laurent(d)
+    for w in sorted(dh.variables(), key=_var_key):
+        if dh.degree(w) == 1:
+            cu = dh.as_univariate(w)
+            return poly_gcd(cu[1], cu[0]).is_const()
+    return False
 
 
 def _normalize_gcd(p: MultiPoly) -> MultiPoly:

@@ -27,8 +27,10 @@ from .poly import (
     ExactDivisionError,
     MultiPoly,
     X_VAR,
+    irreducible,
     poly_div_exact,
     poly_gcd,
+    poly_sum,
 )
 
 PolyLike = Union[MultiPoly, int, Fraction]
@@ -112,7 +114,10 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
     division fails, coprimality is tested against d itself, not against
     the power left: if gcd(num, d) is constant so is gcd(num, d**e), and
     the pair is built as it stands.  Otherwise gcd(num, d**e) is divided
-    out of both.
+    out of both.  When d is certified irreducible (``poly.irreducible``,
+    cached by d, so once per table) the failed division is itself the
+    proof, since an irreducible d that does not divide num is coprime to
+    it, and the gcd probe is skipped.
     """
     if d.is_term():
         return num * d.unit_inverse() ** e
@@ -121,7 +126,7 @@ def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc
             num = poly_div_exact(num, d)
         except ExactDivisionError:
             den = d ** e
-            if not poly_gcd(num, d).is_const():
+            if not irreducible(d) and not poly_gcd(num, d).is_const():
                 g = poly_gcd(num, den)
                 num, den = poly_div_exact(num, g), poly_div_exact(den, g)
             mono = den.monomial_content()   # a unit: moved into the numerator
@@ -161,10 +166,8 @@ def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
 
 def invert_x(p: MultiPoly, degree: int) -> MultiPoly:
     """x**degree * p(1/x): reverse the x-exponents against ``degree``."""
-    out = MultiPoly.zero()
-    for e, c in x_coeffs(p).items():
-        out = out + c * MultiPoly.variable("x", exp=degree - e)
-    return out
+    return poly_sum(c * MultiPoly.variable("x", exp=degree - e)
+                    for e, c in x_coeffs(p).items())
 
 
 class ReversalError(ValueError):

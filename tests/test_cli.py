@@ -489,6 +489,78 @@ def test_unexpected_error_outside_verify_exits_3(capsys, monkeypatch):
     assert "internal error: KeyError" in err
 
 
+def _fresh_negmom(argv, code):
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports negmom
+    from this checkout; the completed process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import negmom
+    env = dict(os.environ, PYTHONPATH=str(Path(negmom.__file__).parent.parent))
+    env.pop("NEGMOM_THREADS", None)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+_PARSED_TWICE = [
+    ["moment", "--n", "1..3", "--k", "2", "--negative"],
+    ["moment", "--k", "2"],                  # an argparse usage error: no --n
+    ["verify", "ck", "--n", "1..2", "--k", "1", "--format", "json"],
+    ["moment", "--n", "0..4", "--k", "2", "--r", "1", "--format", "csv"],
+    ["sequence", "motzkin", "--n", "4", "--k", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSED_TWICE, ids=" ".join)
+def test_main_twice_in_one_process_prints_what_a_fresh_run_prints(argv, capsys):
+    # main reuses the process's one parser: a second call in the same
+    # process prints what a fresh interpreter prints, usage errors included
+    from negmom import cli
+    fresh = _fresh_negmom(argv, "import sys; from negmom.cli import main; "
+                                "sys.exit(main(sys.argv[1:]))")
+    want = (fresh.returncode, data_lines(fresh.stdout), fresh.stderr)
+    for _ in range(2):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse reports usage errors by exiting
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, data_lines(captured.out), captured.err) == want
+
+
+def test_parser_is_built_on_first_use_and_once_per_process():
+    # not at import (the benchmark times import plus build_parser() as its
+    # set-up), and once for any number of main calls
+    counting = ("import argparse, contextlib, io\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+                "import negmom.cli as cli\n"
+                "at_import = len(built)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['moment', '--n', '1', '--k', '1'])\n"
+                "    one = len(built)\n"
+                "    cli.main(['verify', 'ck', '--n', '1', '--k', '1'])\n"
+                "assert cli.build_parser() is cli.build_parser()\n"
+                "print(at_import, one, len(built))")
+    at_import, one, three = map(int, _fresh_negmom([], counting).stdout.split())
+    assert at_import == 0 and one > 0 and three == one
+
+
+def test_dispatch_looks_commands_up_at_call_time(monkeypatch):
+    # the parser binds no function: a cmd_* bound after it was built (a
+    # test's patch, the benchmark's tracer) is the one main runs
+    from negmom import cli
+    assert cli.main(["moment", "--n", "1", "--k", "1"]) == 0   # the parser exists
+    seen = []
+    monkeypatch.setattr(cli, "cmd_moment", lambda args: seen.append(args.k) or 0)
+    assert cli.main(["moment", "--n", "1", "--k", "4"]) == 0
+    assert seen == [4]
+
+
 def test_verify_elapsed_covers_the_checks(capsys, monkeypatch):
     import time
     from negmom import cli

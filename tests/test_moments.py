@@ -332,6 +332,18 @@ def test_stepped_table_specializes_and_matches_the_reversed_gf(data):
         assert not den.is_zero() and num * got.den == got.num * den, n
 
 
+def test_symbolic_table_probes_coprimality_at_most_once(monkeypatch):
+    # det A is certified irreducible once per table (P.irreducible, one
+    # small gcd, cached by d); after that a failed trial division proves a
+    # value's pair coprime, so over_power probes none of the six values
+    P.irreducible.cache_clear()   # the certificate's own probe counts too
+    probe, calls = P._gcd_probe_constant, []
+    monkeypatch.setattr(P, "_gcd_probe_constant", lambda *a: calls.append(a) or probe(*a))
+    table = negative_moments(6, 0, 0, 5, W.symbolic())
+    assert len(calls) <= 1
+    assert all(isinstance(v, RatFunc) for v in table)   # every value met the probe's branch
+
+
 def test_negative_moments_checks_the_domain():
     assert negative_moments(0, 0, 0, 1, Z1) == []
     with pytest.raises(IllDefinedError):

@@ -16,6 +16,8 @@ from negmom.poly import (
     poly_gcd,
 )
 from negmom import weights as W
+from negmom.moments import well_defined
+from test_moments import _b_exprs, _lam_exprs   # mini-language weight specs
 
 
 def rand_poly(rng, max_terms=4, families=("b", "lam", "V")):
@@ -455,6 +457,92 @@ def test_overflow_at_field_limit():
     assert top * MultiPoly.variable("x", exp=-LIMIT) == 1
     assert (b0 ** LIMIT * b1) * b0 ** -1 == b0 ** (LIMIT - 1) * b1
     assert (top + x_ ** 5) * x_ ** -5 == MultiPoly.variable("x", exp=LIMIT - 5) + 1
+
+
+# -- the fused sum of products -------------------------------------------------------
+
+def _chained_dot(pairs, start):
+    acc = MultiPoly.zero() if start is None else start
+    for f, g in pairs:
+        acc = acc + f * g
+    return acc
+
+
+@settings_
+@given(st.lists(st.tuples(laurent, laurent), max_size=4), st.none() | laurent, st.booleans())
+@example([], None, False)                                         # no pairs
+@example([(MultiPoly.zero(), P.b(0)), (P.b(1), MultiPoly.zero())], P.x(), False)   # empty operands
+@example([(P.b(0) + P.lam(1), P.x() - 1), (P.V(1), P.q())], None, True)   # cancels to zero
+def test_poly_dot_matches_chained_products(pairs, start, cancel):
+    if cancel:   # every product met again negated: the sum is start alone
+        pairs = pairs + [(-f, g) for f, g in pairs]
+    got = P.poly_dot(pairs, start)
+    want = _chained_dot(pairs, start)
+    assert dict(got.terms()) == dict(want.terms())   # no zero coefficient kept
+    if cancel:
+        assert got == (MultiPoly.zero() if start is None else start)
+    assert all(abs(e) <= got._bound for mono, _ in got.terms() for _, e in mono)
+
+
+@settings_
+@given(st.integers(-LIMIT, LIMIT), st.integers(-LIMIT, LIMIT), st.integers(-3, 3),
+       st.sampled_from(VARS))
+@example(LIMIT, -LIMIT, 0, ("b", 1))    # bound 2 * LIMIT, true range inside the field
+@example(LIMIT, 1, 0, ("b", 1))         # one past the field
+def test_poly_dot_raises_exactly_when_mul_does(e1, e2, f, other):
+    v = ("b", 0)
+    same = f if other == v else 0
+    assume(abs(e1 + same) <= LIMIT)
+    p = MultiPoly({((v, e1), (other, f)): 1})
+    q_ = MultiPoly({((v, e2),): 1}) + 1   # two terms: the general product loop
+    pairs = [(P.lam(1), P.lam(1)), (p, q_)]
+    try:
+        want = P.lam(1) ** 2 + p * q_
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            P.poly_dot(pairs)
+        return
+    assert P.poly_dot(pairs) == want
+
+
+# -- the irreducibility certificate ---------------------------------------------------
+
+def _spec_det(k, b_expr, lam_expr):
+    return well_defined(k, W.spec(b_expr, lam_expr))[1]   # +-det A
+
+
+def _sympy_factor_count(p):
+    """Irreducible factors, with multiplicity, of p's polynomial part (sympy)."""
+    sympy = pytest.importorskip("sympy")
+    ph = p.shift_monomial(p.monomial_content(), -1)
+    _, factors = sympy.factor_list(sympy.parse_expr(ph.render().replace("^", "**")))
+    return sum(m for _, m in factors)
+
+
+_certified = st.one_of(
+    st.builds(_spec_det, st.integers(0, 4), _b_exprs, _lam_exprs),
+    tower_polys(),
+    st.builds(lambda f, g: f * g, tower_polys().filter(lambda f: not f.is_const()),
+              tower_polys().filter(lambda f: not f.is_const())),
+)
+_contents = st.sampled_from([(), ((("b", 0), 1),), ((("b", 1), -2), (("lam", 1), 1))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_certified, _contents)
+@example(_spec_det(3, "symbolic", "custom:[2,0]"), ())   # lam_2 = 0: d factors
+@example(_spec_det(5, "symbolic", "symbolic"), ())
+@example(_spec_det(3, "v-inverse", "v-inverse"), ())      # a Laurent d
+@example((1 + P.b(0)) * (2 + P.b(1)), ((("b", 0), 1),))
+@example(MultiPoly.zero(), ())
+def test_irreducible_agrees_with_sympy_factor_list(d, content):
+    """True exactly when sympy finds one irreducible factor and some variable
+    has degree 1 in d's polynomial part; in particular never True for a
+    reducible d (soundness)."""
+    d = d.shift_monomial(content)
+    dh = d.shift_monomial(d.monomial_content(), -1)
+    linear = any(dh.degree(w) == 1 for w in dh.variables())
+    assert P.irreducible(d) == (linear and _sympy_factor_count(d) == 1)
 
 
 def test_pickle_round_trip():
