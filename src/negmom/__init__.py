@@ -15,7 +15,7 @@ from .moments import (
     well_defined,
 )
 from .poly import MultiPoly, poly_div_exact, poly_gcd
-from .ratfunc import RatFunc, cf_eval, reverse_gf, series_expand
+from .ratfunc import RatFunc, cf_eval, series_expand
 from .weights import WeightSpec, spec
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "orth_poly",
     "poly_div_exact",
     "poly_gcd",
-    "reverse_gf",
     "series_expand",
     "spec",
     "transfer_matrix",

@@ -146,12 +146,15 @@ def cmd_moment(args) -> int:
 
 def cmd_sequence(args) -> int:
     fam = args.family
+    try:
+        n = int(args.n)
+    except ValueError:
+        raise ValueError(f"sequence --n takes one integer, got {args.n!r}") from None
     report = Report("sequence",
                     {"family": fam, "n": args.n, "k": args.k, "m": args.m,
                      "ell": args.ell, "emit": args.emit},
                     ["item", "weight"] if args.emit == "weights" else ["item"],
                     args.format)
-    n = int(args.n)
     if fam == "motzkin":
         objs = paths.motzkin_paths(n, args.r or 0, args.s or 0, args.k)
         enc = paths.encode_motzkin

@@ -11,11 +11,12 @@ one place, ``over_power``, which divides out the gcd when a quotient by
 a power of d is not polynomial.  No arithmetic is defined on RatFunc:
 the program computes in the polynomial ring and divides once.
 
-The series utilities treat ``x`` as the distinguished series variable;
-all other variables ride along inside the coefficients.  A series is
-expanded only over a Laurent-unit den(0), so its coefficients stay in the
-polynomial ring; a quotient by any other polynomial is formed in the ring
-and divided once by ``over_power``, the only place a quotient is reduced.
+The series utilities, ``series_expand`` and ``cf_eval``, stay only for
+alt-cf's independent route: no moment is expanded from a generating
+function (the moments step matrices, and the reversed-gf route lives in
+the tests as an oracle).  They treat ``x`` as the series variable, all
+other variables riding along inside the coefficients, and expand only
+over a Laurent-unit den(0), so coefficients stay in the polynomial ring.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .poly import (
     irreducible,
     poly_div_exact,
     poly_gcd,
-    poly_sum,
 )
 
 PolyLike = Union[MultiPoly, int, Fraction]
@@ -98,12 +98,6 @@ def x_coeffs(p: MultiPoly) -> Dict[int, MultiPoly]:
     return p.as_univariate(X_VAR)
 
 
-def deg_x(p: MultiPoly) -> int:
-    """Degree in x (coefficients in the other variables); -1 for zero."""
-    u = x_coeffs(p)
-    return max(u) if u else -1
-
-
 def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc]:
     """num / d**e in lowest terms: a MultiPoly when the quotient is
     polynomial, otherwise a RatFunc whose pair is coprime and whose
@@ -142,6 +136,8 @@ def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
     c_n satisfy d0 c_n = a_n - sum_j d_j c_{n-j}.  d0 must be a Laurent
     unit, so each c_n is that right side times d0's inverse, a MultiPoly;
     any other d0 raises ArithmeticError.  f itself need not be reduced.
+    In the package this expands only alt-cf's continued fraction, a route
+    independent of the stepped moments.
     """
     den_u = x_coeffs(f.den)
     num_u = x_coeffs(f.num)
@@ -164,44 +160,6 @@ def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
     return coeffs
 
 
-def invert_x(p: MultiPoly, degree: int) -> MultiPoly:
-    """x**degree * p(1/x): reverse the x-exponents against ``degree``."""
-    return poly_sum(c * MultiPoly.variable("x", exp=degree - e)
-                    for e, c in x_coeffs(p).items())
-
-
-class ReversalError(ValueError):
-    """Raised when a generating function admits no index reversal."""
-
-
-def reverse_gf(f: RatFunc) -> RatFunc:
-    """Reverse a rational generating function to its negative-index side.
-
-    For f = P/Q with deg P <= deg Q, Q(0) != 0 (and x | P when the
-    degrees tie), returns -P(1/x)/Q(1/x) cleared to a rational function
-    whose series lists the backward extension f_{-1}, f_{-2}, ... of the
-    sequence; the result's series has zero constant term.
-    """
-    P, Q = f.num, f.den
-    dp, dq = deg_x(P), deg_x(Q)
-    qu = x_coeffs(Q)
-    if 0 not in qu or qu[0].is_zero():
-        raise ReversalError("denominator vanishes at x = 0")
-    if min(x_coeffs(P), default=0) < 0 or min(qu) < 0:
-        raise ReversalError("Laurent powers of x are not reversible")
-    if f.is_zero():
-        return f
-    if dp > dq:
-        raise ReversalError("numerator degree exceeds denominator degree: "
-                            "no homogeneous linear recurrence")
-    if dp == dq and not x_coeffs(P).get(0, MultiPoly.zero()).is_zero():
-        raise ReversalError("degree tie with nonzero constant term: "
-                            "no homogeneous linear recurrence")
-    num = -invert_x(P, dq)
-    den = invert_x(Q, dq)
-    return RatFunc(num, den)
-
-
 def cf_eval(partial_numerators: Sequence[PolyLike],
             partial_denominators: Sequence[PolyLike]) -> RatFunc:
     """Collapse the finite continued fraction
@@ -210,7 +168,8 @@ def cf_eval(partial_numerators: Sequence[PolyLike],
 
     bottom-up into the pair N/D of the convergent recurrences, not
     reduced: its series is what callers use.  Note the built-in
-    subtraction: signs belong to the partial numerators.
+    subtraction: signs belong to the partial numerators.  It stays for
+    alt-cf's independent route (and the test oracles' continued fractions).
     """
     nums = [_as_poly(p) for p in partial_numerators]
     dens = [_as_poly(p) for p in partial_denominators]

@@ -1,24 +1,80 @@
 """The paper's generating-function route to bounded and negative moments,
-kept on the test side as an oracle for the stepped adj(A) route of
-``negmom.moments``: the two share nothing above the polynomial ring.
+kept on the test side as an oracle for the stepped routes of ``negmom``:
+adj(A) for the orthogonal moments of ``negmom.moments`` and the bidiagonal
+pencil x S L = T L for the Schroeder moments of ``negmom.laurent``.  The
+two routes share nothing above the polynomial ring.
 
 The forward gf of (mu_{n,r,s}^{<=k})_{n>=0} is a ratio of inverted
 orthogonal polynomials; reversing it, f(x) -> -f(1/x), gives the gf of
 (mu_{-n,r,s}^{<=k})_{n>=1}, -x P_r P^{(s+1)}_{k-s} / P_{k+1}.  Its
 denominator's constant term P_{k+1}(0) is seldom a unit, so ``gf_series``
 expands fraction-free and returns each coefficient as an unreduced pair.
+
+On the Schroeder side the gf of (sigma_n^{<=k})_{n>=0} is
+L*^{(1)}_k / L*_{k+1}, a ratio of inverted Laurent polynomials
+(``sigma_gf``), and ``reverse_gf`` turns it into the gf of
+(sigma_{-n}^{<=k})_{n>=1} (``sigma_negative_gf``).  Its den(0) is
+b_0 .. b_k up to sign, a Laurent unit for the specs the pencil steps
+backward, so ``series_expand`` expands it.
 """
 
 from typing import List
 
 from negmom import poly as P
+from negmom.laurent import laurent_poly
 from negmom.moments import IllDefinedError, orth_poly
-from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc, cf_eval, invert_x, x_coeffs
+from negmom.poly import MultiPoly, poly_sum
+from negmom.ratfunc import RatFunc, cf_eval, x_coeffs
 
 _X = P.x()
 _ONE = MultiPoly.const(1)
 
+
+# -- index reversal ------------------------------------------------------------
+
+def deg_x(p):
+    """Degree in x (coefficients in the other variables); -1 for zero."""
+    u = x_coeffs(p)
+    return max(u) if u else -1
+
+
+def invert_x(p, degree):
+    """x**degree * p(1/x): reverse the x-exponents against ``degree``."""
+    return poly_sum(c * MultiPoly.variable("x", exp=degree - e)
+                    for e, c in x_coeffs(p).items())
+
+
+class ReversalError(ValueError):
+    """Raised when a generating function admits no index reversal."""
+
+
+def reverse_gf(f):
+    """Reverse a rational generating function to its negative-index side.
+
+    For f = P/Q with deg P <= deg Q, Q(0) != 0 (and x | P when the
+    degrees tie), returns -P(1/x)/Q(1/x) cleared to a rational function
+    whose series lists the backward extension f_{-1}, f_{-2}, ... of the
+    sequence; the result's series has zero constant term.
+    """
+    num_p, den_q = f.num, f.den
+    dp, dq = deg_x(num_p), deg_x(den_q)
+    qu = x_coeffs(den_q)
+    if 0 not in qu or qu[0].is_zero():
+        raise ReversalError("denominator vanishes at x = 0")
+    if min(x_coeffs(num_p), default=0) < 0 or min(qu) < 0:
+        raise ReversalError("Laurent powers of x are not reversible")
+    if f.is_zero():
+        return f
+    if dp > dq:
+        raise ReversalError("numerator degree exceeds denominator degree: "
+                            "no homogeneous linear recurrence")
+    if dp == dq and not x_coeffs(num_p).get(0, MultiPoly.zero()).is_zero():
+        raise ReversalError("degree tie with nonzero constant term: "
+                            "no homogeneous linear recurrence")
+    return RatFunc(-invert_x(num_p, dq), invert_x(den_q, dq))
+
+
+# -- orthogonal side -------------------------------------------------------------
 
 def inverted_poly(n, spec):
     """P*_n(x) = x^n P_n(1/x)."""
@@ -100,3 +156,20 @@ def gf_series(f, n_terms) -> List[RatFunc]:
                 acc = acc - dj * scaled[n - j] * powers[j - 1]
         scaled.append(acc)
     return [RatFunc(N, powers[n] * d0) for n, N in enumerate(scaled)]
+
+
+# -- Schroeder side ----------------------------------------------------------------
+
+def laurent_inverted(n, spec):
+    """L*_n(x) = x^n L_n(1/x)."""
+    return invert_x(laurent_poly(n, spec), n)
+
+
+def sigma_gf(k, spec):
+    """Generating function of the bounded Schroeder moments in x."""
+    return RatFunc(laurent_inverted(k, spec.shift(1)), laurent_inverted(k + 1, spec))
+
+
+def sigma_negative_gf(k, spec):
+    """Generating function of the backward extension (sigma_{-n})_{n>=1}."""
+    return reverse_gf(sigma_gf(k, spec))

@@ -197,6 +197,13 @@ def test_bad_range_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_sequence_range_is_usage_error_naming_the_flag(capsys):
+    # sequence lists one length; a range is refused by name, not by int()
+    code, out, err = run_cli(["sequence", "alt", "--n", "1..3", "--k", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: sequence --n takes one integer, got '1..3'\n"
+
+
 # -- exact negative moments, per-tuple isolation, exit codes, worker count ------
 
 def _assert_negative_table_matches_sympy(capsys, k, n_max, b_arg, lam_arg):

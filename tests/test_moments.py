@@ -28,7 +28,7 @@ from negmom.moments import (
 )
 from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_factors, weight_sum
 from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc, reverse_gf, series_expand, x_coeffs
+from negmom.ratfunc import RatFunc, series_expand, x_coeffs
 from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
 from gf_oracle import (
     gf_series,
@@ -36,6 +36,7 @@ from gf_oracle import (
     moment_gf,
     negative_cf,
     negative_moment_gf,
+    reverse_gf,
     viennot_cf,
 )
 from test_matrix import adjugate

@@ -12,13 +12,12 @@ from negmom import poly as P
 from negmom.poly import MultiPoly, poly_div_exact, poly_gcd
 from negmom.ratfunc import (
     RatFunc,
-    ReversalError,
     cf_eval,
     over_power,
-    reverse_gf,
     series_expand,
     x_coeffs,
 )
+from gf_oracle import ReversalError, reverse_gf
 
 X = P.x()
 
