@@ -4,10 +4,13 @@ raw sequence listings, in text, json, or csv.
 Exit codes: 0 all (non-skipped) checks pass, 1 a verification failed,
 2 usage error or an ill-defined request, 3 an unexpected internal error
 (a bug: reported on stderr, and by ``verify`` per tuple as
-``status=ERROR`` while the other tuples still run).  A ``verify`` tuple
-outside an identity's domain is ``status=SKIPPED``, the reason in the
-json ``witness``.  Output is byte-stable for fixed inputs; the only
-timing appears in a trailing comment line of the text format.
+``status=ERROR`` while the other tuples still run).  Each identity
+declares its domain in the verify registry; a ``verify`` tuple outside
+it, or one whose backward side is undefined (d = 0), is
+``status=SKIPPED``, the reason in the json ``witness``.  Anything else
+a check raises is ``status=ERROR``.  Output is byte-stable for fixed
+inputs; the only timing appears in a trailing comment line of the text
+format.
 """
 
 from __future__ import annotations
@@ -35,15 +38,16 @@ FAIL_ERROR = 1
 INTERNAL_ERROR = 3
 
 
-def _parse_range(text: str) -> List[int]:
-    """`a..b` inclusive, or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> List[int]:
+    """`a..b` inclusive, or a single integer, given to the option ``flag``."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"{flag} takes an integer or a range a..b, got {text!r}") from None
+    if hi_i < lo_i:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def _render_value(v) -> str:
@@ -109,7 +113,7 @@ def _build_spec(args) -> WeightSpec:
 
 def cmd_moment(args) -> int:
     spec = _build_spec(args)
-    ns = _parse_range(args.n)
+    ns = _parse_range(args.n, "moment --n")
     if not (0 <= args.r <= args.k and 0 <= args.s <= args.k):
         sys.stderr.write(f"error: heights r = {args.r}, s = {args.s} "
                          f"must lie in [0, k = {args.k}]\n")
@@ -223,31 +227,60 @@ def _check_main(n: int, k: int, m: int, spec: str = "symbolic") -> reciprocity.I
     return reciprocity.check_main_reciprocity(n, k, m, make_spec(*_SPECS[spec]))
 
 
-# identity -> (check, parameter names, default --r/--s range at height k).
-# The check takes the parameters by name; their order is the order of the
-# ``params=`` column and the grid's sort key.
+# domain rules shared by several identities
+_NEG_INDEX = ("negative index n must be >= 1", lambda n, **_: n >= 1)
+_POSITIVE = ("needs positive n, k, m", lambda n, k, m, **_: min(n, k, m) >= 1)
+_BOUND = ("bound k must be nonnegative", lambda k, **_: k >= 0)
+_CUTOFF = ("b-special needs a nonnegative cutoff", lambda k, **_: k >= 0)
+_K_POSITIVE = ("needs k >= 1", lambda k, **_: k >= 1)
+_K_NONNEGATIVE = ("needs k >= 0", lambda k, **_: k >= 0)
+
+# identity -> (check, parameter names, default --r/--s range at height k,
+# domain).  The check takes the parameters by name; their order is the order
+# of the ``params=`` column and the grid's sort key.  The domain is the
+# identity's hypotheses, as ordered (reason, predicate) rules over the
+# parameters: a tuple that fails one is SKIPPED with the first failing
+# rule's reason, and its check is not called.  Inside the domain, a check
+# that raises IllDefinedError (d = 0) is SKIPPED too; anything else it
+# raises is an ERROR.
 _IDENTITIES = {
-    "ck": (_late("check_ck"), "n k", None),
-    "ck-rs": (_late("check_ck_rs"), "n k r s", lambda k: range(1, k + 1)),
-    "thm15": (_late("check_theorem15"), "n k m", None),
-    "main": (_check_main, "n k m spec", None),
-    "conj50": (_late("check_conjecture50"), "n k m", None),
-    "conj53": (_late("check_conjecture53"), "n k m", None),
-    "thm34": (_late("check_theorem34"), "n k m", None),
-    "rpp": (_late("check_rpp_identity"), "n m k mode", None),
-    "pv2": (_late("check_pv2"), "n k", None),
-    "pv3a": (_late("check_pv3a"), "n k", None),
-    "pv3b": (_late("check_pv3b"), "n k", None),
-    "pv3-rs": (_late("check_pv3_rs"), "n k r s", lambda k: range(0, 3 * k + 1)),
-    "usmani": (_late("check_usmani"), "k", None),
-    "vv-inv": (_late("check_vv_inverse"), "k", None),
-    "sigma": (_late("check_sigma"), "n k", None),
-    "alt-cf": (_late("check_alt_cf"), "k", None),
-    "special-dets": (_late("check_special_dets"), "k", None),
-    "connection1": (_late("check_connection1"), "n k", None),
-    "connection2": (_late("check_connection2"), "n k", None),
-    "dyck-motzkin": (_late("check_dyck_motzkin_connection"), "n k", None),
-    "alt-transfer": (_late("check_alt_transfer_counts"), "n k", None),
+    "ck": (_late("check_ck"), "n k", None, (_NEG_INDEX, _K_POSITIVE)),
+    "ck-rs": (_late("check_ck_rs"), "n k r s", lambda k: range(1, k + 1), (
+        ("endpoints must lie in [1, k]", lambda k, r, s, **_: 1 <= r <= k and 1 <= s <= k),
+        _NEG_INDEX)),
+    "thm15": (_late("check_theorem15"), "n k m", None, (   # both grids are empty at k = m = 0
+        ("needs n, k, m >= 0", lambda n, k, m: min(k, m) >= 0 and (n >= 0 or k + m == 0)),)),
+    "main": (_check_main, "n k m spec", None, (_POSITIVE,)),
+    "conj50": (_late("check_conjecture50"), "n k m", None, (
+        ("needs k, m >= 0", lambda n, k, m: min(k, m) >= 0),
+        ("n must be nonnegative", lambda n, k, m: n >= 0 or m == 0))),   # alternating counts
+    "conj53": (_late("check_conjecture53"), "n k m", None, (
+        ("k+m = 2 (mod 3): backward side undefined", lambda n, k, m: (k + m) % 3 != 2),
+        _POSITIVE)),
+    "thm34": (_late("check_theorem34"), "n k m", None, (_POSITIVE,)),
+    "rpp": (_late("check_rpp_identity"), "n m k mode", None, (
+        ("needs m >= 1, n >= 0, k >= 0", lambda n, m, k, mode: m >= 1 and min(n, k) >= 0),)),
+    "pv2": (_late("check_pv2"), "n k", None, (_NEG_INDEX, _K_POSITIVE)),
+    "pv3a": (_late("check_pv3a"), "n k", None, (_NEG_INDEX, _K_POSITIVE)),
+    "pv3b": (_late("check_pv3b"), "n k", None, (_NEG_INDEX, _K_NONNEGATIVE)),
+    "pv3-rs": (_late("check_pv3_rs"), "n k r s", lambda k: range(0, 3 * k + 1), (
+        ("endpoints exceed both bounds", lambda n, k, r, s: 0 <= r <= 3 * k and 0 <= s <= 3 * k),
+        _NEG_INDEX)),
+    "usmani": (_late("check_usmani"), "k", None, (_BOUND,)),
+    "vv-inv": (_late("check_vv_inverse"), "k", None, (
+        ("k = 1 (mod 3): matrix singular", lambda k: k % 3 != 1), _BOUND)),
+    "sigma": (_late("check_sigma"), "n k", None, (_NEG_INDEX, _K_NONNEGATIVE)),
+    "alt-cf": (_late("check_alt_cf"), "k", None, (_BOUND,)),
+    "special-dets": (_late("check_special_dets"), "k", None, (   # transfer matrices at bound k-1
+        ("bound k must be nonnegative", lambda k: k >= 1),)),
+    "connection1": (_late("check_connection1"), "n k", None, (
+        _CUTOFF, ("use negative_moment for negative indices", lambda n, k: n >= 0))),
+    "connection2": (_late("check_connection2"), "n k", None, (
+        _CUTOFF, ("n must be nonnegative", lambda n, k: n >= 0))),
+    "dyck-motzkin": (_late("check_dyck_motzkin_connection"), "n k", None, (
+        ("needs n >= 0, k >= 1", lambda n, k: n >= 0 and k >= 1),)),
+    "alt-transfer": (_late("check_alt_transfer_counts"), "n k", None, (
+        ("needs n, k >= 0", lambda n, k: min(n, k) >= 0),)),
 }
 IDENTITIES = list(_IDENTITIES)
 
@@ -255,10 +288,10 @@ IDENTITIES = list(_IDENTITIES)
 def _verify_grid(identity: str, args) -> List[Dict[str, object]]:
     """One identity's parameter tuples from the range flags (n, k, m
     default to 1), sorted on their values in parameter-name order."""
-    values = {f: _parse_range(getattr(args, f)) if getattr(args, f) else None
+    values = {f: _parse_range(getattr(args, f), f"verify --{f}") if getattr(args, f) else None
               for f in "nkmrs"}
     values["spec"], values["mode"] = [args.spec], [args.mode]
-    _, names, rs_range = _IDENTITIES[identity]
+    _, names, rs_range, _ = _IDENTITIES[identity]
     grid: List[Dict[str, object]] = [{}]
     for name in names.split():
         grid = [{**p, name: v} for p in grid
@@ -267,17 +300,23 @@ def _verify_grid(identity: str, args) -> List[Dict[str, object]]:
 
 
 def run_check(identity: str, params: Dict) -> reciprocity.IdentityCheck:
-    """Dispatch one verification tuple (picklable for worker pools)."""
+    """One verification tuple (picklable for worker pools): SKIPPED with the
+    reason of the first domain rule the params fail, else the check's own
+    result."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-    return _IDENTITIES[identity][0](**params)
+    check, _, _, domain = _IDENTITIES[identity]
+    for reason, holds in domain:
+        if not holds(**params):
+            return reciprocity.skipped(identity, params, reason)
+    return check(**params)
 
 
 def _run_one(job):
     identity, params = job
     try:
         check = run_check(identity, params)
-    except (IllDefinedError, ValueError) as exc:   # outside the domain
+    except IllDefinedError as exc:   # d = 0: the backward side is undefined
         return params, "SKIPPED", str(exc)
     except Exception as exc:
         import traceback   # the error path only: keeps start-up lean

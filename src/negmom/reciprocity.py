@@ -6,6 +6,10 @@ forms on one side, brute-force enumeration or a second closed route on
 the other) and reports an ``IdentityCheck``.  Rational sides are compared
 by cross-multiplication so no reduction of large intermediates is needed;
 a failing check carries the first differing monomial as a witness.
+
+A check assumes its parameters lie inside the identity's domain, which
+the verify registry (``cli._IDENTITIES``) declares; only what needs the
+moments computed first, such as main's d = 0, is SKIPPED from inside.
 """
 
 from __future__ import annotations
@@ -101,16 +105,6 @@ def skipped(identity: str, params: Dict[str, object], reason: str) -> IdentityCh
     return IdentityCheck(identity, params, "SKIPPED", reason=reason)
 
 
-def _require_negative_index(n: int, k: int, k_min: int) -> None:
-    """The domain of an identity on mu_{-n} whose bound is computed from k:
-    n >= 1 and k >= k_min.  Outside it a ValueError, which ``verify``
-    reports as SKIPPED with the message as the reason."""
-    if n < 1:
-        raise ValueError("negative index n must be >= 1")
-    if k < k_min:
-        raise ValueError(f"needs k >= {k_min}")
-
-
 def _combine(identity: str, params: Dict[str, object],
              subchecks: Sequence[IdentityCheck]) -> IdentityCheck:
     for sub in subchecks:
@@ -161,8 +155,6 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     """
     params = {"n": n, "k": k, "m": m, "spec": spec.name}
     ident = "main"
-    if n < 1 or k < 1 or m < 1:
-        return skipped(ident, params, "needs positive n, k, m")
     K = k + m - 1
     try:
         d, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
@@ -189,8 +181,6 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
 def check_theorem15(n: int, k: int, m: int) -> IdentityCheck:
     """Equality of the two Dyck-count grid determinants at odd bound."""
     params = {"n": n, "k": k, "m": m}
-    if min(k, m) < 0 or (n < 0 and k + m):   # both grids are empty at k = m = 0
-        return skipped("thm15", params, "needs n, k, m >= 0")
     spec = zero_one()
     bound = 2 * k + 2 * m - 1
     # the (n, m) = (0, 0) corner starts the forward grid at mu_{-2}
@@ -203,8 +193,6 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
     """Row-sum moment grid against the signed grid of alternating-sequence
     counts."""
     params = {"n": n, "k": k, "m": m}
-    if k < 0 or m < 0:
-        return skipped("conj50", params, "needs k, m >= 0")
     K = k + m
     bound = 2 * K - 1
     spec = zero_one()
@@ -226,10 +214,6 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
 def check_conjecture53(n: int, k: int, m: int) -> IdentityCheck:
     """All-ones-weight grid reciprocity, defined away from k+m = 2 (mod 3)."""
     params = {"n": n, "k": k, "m": m}
-    if (k + m) % 3 == 2:
-        return skipped("conj53", params, "k+m = 2 (mod 3): backward side undefined")
-    if n < 1 or k < 1 or m < 1:
-        return skipped("conj53", params, "needs positive n, k, m")
     spec, bound = one_one(), k + m - 1
     lhs = hankel_determinant(_moment_run(bound, spec, n + 2 * m - 2, 1, 2 * k - 1))
     rhs = hankel_determinant(_moment_run(bound, spec, -n, -1, 2 * m - 1))
@@ -241,8 +225,6 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
     """Grid reciprocity for Dyck-path moments with fully symbolic lam; the
     backward grid is taken on ``spec.reversed(2k+2m-1)``, lam_i -> lam_{2k+2m-i}."""
     params = {"n": n, "k": k, "m": m}
-    if n < 1 or k < 1 or m < 1:
-        return skipped("thm34", params, "needs positive n, k, m")
     spec = make_spec("zero", "symbolic")
     bound = 2 * k + 2 * m - 1
     lhs = hankel_determinant(_moment_run(bound, spec, 2 * n + 4 * m - 2, 2, 2 * k - 1))
@@ -259,8 +241,6 @@ def check_theorem34(n: int, k: int, m: int) -> IdentityCheck:
 def check_dyck_motzkin_connection(n: int, k: int) -> IdentityCheck:
     """Even Dyck moments as Motzkin moments of the paired-index weights."""
     params = {"n": n, "k": k}
-    if n < 0 or k < 1:
-        return skipped("dyck-motzkin", params, "needs n >= 0, k >= 1")
     spec = make_spec("zero", "symbolic")
     lhs = bounded_moment(2 * n, 0, 0, 2 * k - 1, spec)
     mid = bounded_moment(n, 0, 0, k - 1, doubled_even())
@@ -338,8 +318,6 @@ def check_rpp_identity(n: int, m: int, k: int, mode: str = "symbolic-VA",
     """Bounded reverse-plane-partition sums against alternating-sequence
     grid determinants (multivariate, q-specialized, or unbounded mod q^N)."""
     params = {"n": n, "m": m, "k": k, "mode": mode}
-    if m < 1 or n < 0 or k < 0:
-        return skipped("rpp", params, "needs m >= 1, n >= 0, k >= 0")
     # Hankel entry t weighs the down-first sequences of length 2n+2t+1
     lengths = [2 * n + 2 * t + 1 for t in range(2 * m - 1)]
     seqs = lambda length: paths.alt_sequences(length, k + m, down_first=True)
@@ -436,8 +414,6 @@ def check_special_dets(k: int) -> IdentityCheck:
 def check_alt_transfer_counts(n: int, k: int) -> IdentityCheck:
     """e_0^T (A')^n (1,...,1)^T equals the brute-force alternating count."""
     params = {"n": n, "k": k}
-    if n < 0 or k < 0:
-        return skipped("alt-transfer", params, "needs n, k >= 0")
     A = alt_transfer_matrix(k)
     u = [MultiPoly.const(1 if i == 0 else 0) for i in range(2 * k + 2)]
     for _ in range(n):
@@ -449,8 +425,6 @@ def check_alt_transfer_counts(n: int, k: int) -> IdentityCheck:
 def check_alt_cf(k: int, order: int = 8) -> IdentityCheck:
     """Continued-fraction series for bounded alternating-sequence counts."""
     params = {"k": k, "order": order}
-    if k < 0:
-        return skipped("alt-cf", params, "bound k must be nonnegative")
     y = MultiPoly.const((-1) ** k) * MultiPoly.variable("x")
     bs = [MultiPoly.const((-1) ** k)] + \
          [MultiPoly.const((-1) ** (k - i) * 2) for i in range(1, k + 1)]
@@ -470,7 +444,6 @@ def check_alt_cf(k: int, order: int = 8) -> IdentityCheck:
 def check_ck(n: int, k: int) -> IdentityCheck:
     """Negative even Dyck moments as bounded alternating-sequence counts."""
     params = {"n": n, "k": k}
-    _require_negative_index(n, k, 1)
     lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, zero_one())
     rhs = MultiPoly.const(paths.count_alt(2 * n - 1, k))
     return check_values("ck", params, lhs, rhs)
@@ -479,8 +452,6 @@ def check_ck(n: int, k: int) -> IdentityCheck:
 def check_ck_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
     """Both endpoint-pinned reciprocity identities for Dyck moments."""
     params = {"n": n, "k": k, "r": r, "s": s}
-    if not (1 <= r <= k and 1 <= s <= k):
-        return skipped("ck-rs", params, "endpoints must lie in [1, k]")
     spec = zero_one()
     sign = (-1) ** (r + s)
     sub = []
@@ -507,9 +478,7 @@ def check_connection2(n: int, k: int) -> IdentityCheck:
     """Negative moments of the special weights reversed at k,
     ``b_special(k).reversed(k)``, as alternating counts."""
     params = {"n": n, "k": k}
-    spec = b_special(k).reversed(k)   # b_special rejects k < 0 first
-    if n < 0:
-        return skipped("connection2", params, "n must be nonnegative")
+    spec = b_special(k).reversed(k)
     d, vecs = adjugate_vectors(k, spec, 0, n)
     lhs = (-1) ** (k * n) * over_power(vecs[n][0], d, n)
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
@@ -541,8 +510,6 @@ def _pinned_pv3_row(n: int, r: int, bound: int,
 
 def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -> Value:
     """``negative_moment(n, r, s, bound, spec)`` for the spec named by the flag."""
-    if n < 1:
-        raise ValueError("negative index n must be >= 1")
     d, row = _pinned_pv3_row(n, r, bound, unit_weights)
     return over_power(row[s], d, n)
 
@@ -560,7 +527,6 @@ def check_pv2(n: int, k: int) -> IdentityCheck:
     """The 2-PV moments, and the weighted-Alt pair on the weights
     ``av_lambda().reversed(2k-1)``."""
     params = {"n": n, "k": k}
-    _require_negative_index(n, k, 1)
     lhs = negative_moment(2 * n, 0, 0, 2 * k - 1, dyck_v())
     rhs = MultiPoly.variable("V", 0) * _v_sum(paths.pv_sequences(2, 2 * n - 1, 2 * k - 1))
     sub = [check_values("pv2", params, lhs, rhs)]
@@ -572,7 +538,6 @@ def check_pv2(n: int, k: int) -> IdentityCheck:
 
 def check_pv3a(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
-    _require_negative_index(n, k, 1)
     lhs = negative_moment(n, 0, 0, 3 * k - 1, v_inverse())
     rhs = MultiPoly.variable("V", 0) * _v_sum(paths.pv_sequences(3, n - 1, 3 * k - 1, r=0, s=0))
     return check_values("pv3a", params, lhs, rhs)
@@ -580,7 +545,6 @@ def check_pv3a(n: int, k: int) -> IdentityCheck:
 
 def check_pv3b(n: int, k: int) -> IdentityCheck:
     params = {"n": n, "k": k}
-    _require_negative_index(n, k, 0)
     lhs = negative_moment(n, 0, 0, 3 * k, v_inverse())
     total = _v_sum(paths.pv_sequences(3, n - 1, 3 * k, modified=True, r=0, s=0))
     return check_values("pv3b", params, lhs, (-1) ** n * MultiPoly.variable("V", 0) * total)
@@ -604,8 +568,6 @@ def check_pv3_rs(n: int, k: int, r: int, s: int) -> IdentityCheck:
         mu = _pinned_pv3_moment(n, r, s, bound, unit_weights=True)
         count = (-1) ** (e + r + s + n) * paths.count(seqs())
         sub.append(check_values("pv3-rs", params, mu, MultiPoly.const(count)))
-    if not sub:
-        return skipped("pv3-rs", params, "endpoints exceed both bounds")
     return _combine("pv3-rs", params, sub)
 
 
@@ -629,8 +591,6 @@ def check_usmani(k: int) -> IdentityCheck:
 def check_vv_inverse(k: int) -> IdentityCheck:
     """Closed-form V-weight inverse against the continuant inverse."""
     params = {"k": k}
-    if k % 3 == 1:
-        return skipped("vv-inv", params, "k = 1 (mod 3): matrix singular")
     closed = v_inverse_closed_form(k)
     N, det = usmani_inverse(k, v_inverse())
     for i in range(k + 1):
@@ -663,7 +623,6 @@ def sigma_negative_oracle(n: int, k: int, spec: WeightSpec) -> MultiPoly:
 def check_sigma(n: int, k: int) -> IdentityCheck:
     """Backward Schroeder moments: symbolic identity plus count reciprocity."""
     params = {"n": n, "k": k}
-    _require_negative_index(n, k, 0)
     sub = []
     syms = laurent_symbolic()
     sub.append(check_values("sigma", params, sigma_negative(n, k, syms),

@@ -204,6 +204,21 @@ def test_sequence_range_is_usage_error_naming_the_flag(capsys):
     assert err == "error: sequence --n takes one integer, got '1..3'\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["moment", "--n", "abc", "--k", "2"],
+     "error: moment --n takes an integer or a range a..b, got 'abc'\n"),
+    (["moment", "--n", "3..", "--k", "2"],
+     "error: moment --n takes an integer or a range a..b, got '3..'\n"),
+    (["verify", "sigma", "--n", "1..x", "--k", "2"],
+     "error: verify --n takes an integer or a range a..b, got '1..x'\n"),
+    (["verify", "usmani", "--k", "1", "--m", "..2"],
+     "error: verify --m takes an integer or a range a..b, got '..2'\n"),
+])
+def test_unparsable_range_is_usage_error_naming_the_flag(argv, err, capsys):
+    # not int()'s "invalid literal" message: the flag and the a..b form
+    assert run_cli(argv, capsys) == (2, "", err)
+
+
 # -- exact negative moments, per-tuple isolation, exit codes, worker count ------
 
 def _assert_negative_table_matches_sympy(capsys, k, n_max, b_arg, lam_arg):
@@ -373,6 +388,23 @@ def test_verify_nonpositive_grid_skips_and_never_fails(identity, capsys):
     assert all(r["witness"] for r in rows if r["status"] == "SKIPPED")
 
 
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_verify_in_domain_tuples_pass(identity, capsys):
+    # a tuple that the declared domain admits is checked and PASSes; only a
+    # tuple outside it is SKIPPED, with the first failing rule's reason
+    from negmom.cli import _IDENTITIES
+
+    code, out, err = run_cli(["verify", identity, "--n", "1..2", "--k", "1..2", "--m", "1..2",
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    for row in json.loads(out)["results"]:
+        params = {key: int(v) if v.isdigit() else v
+                  for key, v in (kv.split("=") for kv in row["params"].split(","))}
+        failed = [reason for reason, holds in _IDENTITIES[identity][3] if not holds(**params)]
+        want = ("SKIPPED", failed[0]) if failed else ("PASS", "")
+        assert (row["status"], row["witness"]) == want, row["params"]
+
+
 def test_verify_nonpositive_reasons(capsys):
     def reasons(identity, n, k, m="1"):
         _, out, _ = run_cli(["verify", identity, f"--n={n}", f"--k={k}", f"--m={m}",
@@ -386,6 +418,7 @@ def test_verify_nonpositive_reasons(capsys):
     assert reasons("alt-cf", "1", "-1") == ["bound k must be nonnegative"]
     assert reasons("dyck-motzkin", "0", "0") == ["needs n >= 0, k >= 1"]   # was an IndexError
     assert reasons("alt-transfer", "0", "-1") == ["needs n, k >= 0"]   # was a false FAIL
+    assert reasons("vv-inv", "1", "-4..-3") == ["bound k must be nonnegative"] * 2   # was an ERROR
 
 
 def verify_params(argv, capsys, monkeypatch):
@@ -474,14 +507,21 @@ def test_verify_unexpected_error_has_own_exit_code(capsys, monkeypatch):
     def boom(n, k):
         if n == 2:
             raise RuntimeError("boom")
+        if n == 3:   # inside the declared domain a ValueError is a bug too
+            raise ValueError("stray")
         return cli.reciprocity.check_ck(n, k)
 
     monkeypatch.setitem(cli._IDENTITIES, "ck", (boom, *cli._IDENTITIES["ck"][1:]))
-    code, out, _ = run_cli(["verify", "ck", "--n", "1..3", "--k", "1"], capsys)
+    code, out, _ = run_cli(["verify", "ck", "--n", "0..4", "--k", "1"], capsys)
     assert code == cli.INTERNAL_ERROR != cli.FAIL_ERROR
-    assert data_lines(out) == ["ck params=n=1,k=1 status=PASS",
+    assert data_lines(out) == ["ck params=n=0,k=1 status=SKIPPED",
+                               "ck params=n=1,k=1 status=PASS",
                                "ck params=n=2,k=1 status=ERROR error=RuntimeError: boom",
-                               "ck params=n=3,k=1 status=PASS"]
+                               "ck params=n=3,k=1 status=ERROR error=ValueError: stray",
+                               "ck params=n=4,k=1 status=PASS"]
+    code, out, _ = run_cli(["verify", "ck", "--n", "3", "--k", "1"], capsys)
+    assert code == 3
+    assert data_lines(out) == ["ck params=n=3,k=1 status=ERROR error=ValueError: stray"]
 
 
 def test_unexpected_error_outside_verify_exits_3(capsys, monkeypatch):

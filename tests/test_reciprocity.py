@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from negmom import reciprocity
 from negmom import weights as W
+from negmom.cli import run_check
 from negmom.matrix import hankel_determinant, reduced_hankel_determinant
 from negmom.moments import (
     IllDefinedError,
@@ -24,7 +25,6 @@ from negmom.reciprocity import (
     check_ck,
     check_ck_rs,
     check_conjecture50,
-    check_conjecture53,
     check_dyck_motzkin_connection,
     check_connection1,
     check_connection2,
@@ -65,7 +65,8 @@ def test_ck_rs_small():
             for r in range(1, k + 1):
                 for s in range(1, k + 1):
                     assert check_ck_rs(n, k, r, s).passed, (n, k, r, s)
-    assert check_ck_rs(1, 2, 0, 1).status == "SKIPPED"
+    c = run_check("ck-rs", {"n": 1, "k": 2, "r": 0, "s": 1})
+    assert (c.status, c.reason) == ("SKIPPED", "endpoints must lie in [1, k]")
 
 
 def test_det_moment_grid_edges():
@@ -298,7 +299,7 @@ def test_conjectures_small():
     for n in range(1, 3):
         for k in range(1, 3):
             for m in range(1, 3):
-                c = check_conjecture53(n, k, m)
+                c = run_check("conj53", {"n": n, "k": k, "m": m})
                 seen_skip |= c.status == "SKIPPED"
                 assert c.status in ("PASS", "SKIPPED")
     assert seen_skip  # k + m = 2 (mod 3) occurs in the grid
@@ -385,7 +386,8 @@ def test_pv_wrappers():
             assert check_pv3a(n, k).passed
             assert check_pv3b(n, k).passed
     assert check_pv3_rs(2, 1, 1, 2).passed
-    assert check_pv3_rs(1, 1, 9, 9).status == "SKIPPED"
+    c = run_check("pv3-rs", {"n": 1, "k": 1, "r": 9, "s": 9})
+    assert (c.status, c.reason) == ("SKIPPED", "endpoints exceed both bounds")
 
 
 def test_pv3_rs_tuples_share_one_row_across_s(monkeypatch):
@@ -405,15 +407,16 @@ def test_pv3_rs_tuples_share_one_row_across_s(monkeypatch):
     for n in (1, 4):
         assert reciprocity._pinned_pv3_moment(n, 2, 1, 5, unit_weights=False) == \
             negative_moment(n, 2, 1, 5, W.v_inverse())
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        check_pv3_rs(0, 1, 0, 0)
+    c = run_check("pv3-rs", {"n": 0, "k": 1, "r": 0, "s": 0})
+    assert (c.status, c.reason) == ("SKIPPED", "negative index n must be >= 1")
 
 
 def test_inverse_checks():
     for k in range(0, 4):
         assert check_usmani(k).passed
     assert check_vv_inverse(2).passed
-    assert check_vv_inverse(4).status == "SKIPPED"
+    c = run_check("vv-inv", {"k": 4})
+    assert (c.status, c.reason) == ("SKIPPED", "k = 1 (mod 3): matrix singular")
 
 
 def test_sigma_check():
