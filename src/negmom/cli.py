@@ -27,7 +27,6 @@ from .moments import (
     IllDefinedError,
     forward_moments,
     negative_moments,
-    well_defined,
 )
 from .poly import MultiPoly
 from .ratfunc import RatFunc
@@ -128,16 +127,19 @@ def cmd_moment(args) -> int:
                      "negative": args.negative},
                     ["n", "value"], args.format)
     if args.negative:
-        ok, cert = well_defined(args.k, spec)
-        if not ok:
+        # the ill-defined error is negative_moments' own domain check, made on
+        # the continuants it steps for adj(A) anyway; it comes before the index
+        # check, and an index below 1 asks for no row (n_max = 0)
+        try:
+            vals = negative_moments(ns[-1] if ns[0] >= 1 else 0, args.r, args.s, args.k, spec)
+        except IllDefinedError as exc:
             sys.stderr.write(
                 f"error: negative moments undefined: P_{args.k + 1}(0) = "
-                f"{cert.render()}\n")
+                f"{exc.certificate.render()}\n")
             return USAGE_ERROR
         if ns[0] < 1:
             sys.stderr.write("error: negative moment indices start at 1\n")
             return USAGE_ERROR
-        vals = negative_moments(ns[-1], args.r, args.s, args.k, spec)
         for n in ns:
             report.add(n, _render_value(vals[n - 1]))
     else:

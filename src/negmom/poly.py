@@ -17,7 +17,10 @@ signed exponent in a 32-bit field: the key is ``sum(e_s << 32*s)``.  So
 a monomial product is one integer addition, a power one multiplication,
 a unit inverse one negation, and a field reads back by a biased shift
 and mask.  Slot numbers are private to a process; pickling goes through
-tuple monomials.
+tuple monomials.  ``zero``, ``const`` and ``variable`` write the packed
+terms directly.  No operation changes a polynomial's terms once it is
+built, so ``variable`` hands out one shared ``MultiPoly`` per (family,
+index, exponent), made on first use.
 
 Overflow.  A field holds ``|e| <= 2**31 - 1``.  Each polynomial carries
 an upper bound on its ``|e|``: a product's bound is the sum of its
@@ -303,18 +306,28 @@ class MultiPoly:
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return cls.const(0)
 
     @classmethod
     def const(cls, c: Scalar) -> "MultiPoly":
-        return cls({(): c}) if c else cls()
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+        res = cls.__new__(cls)
+        res._terms = {0: c.numerator if c.denominator == 1 else c} if c else {}
+        res._bound = 0
+        return res
 
     @classmethod
     def variable(cls, family: str, index: int | None = None, exp: int = 1) -> "MultiPoly":
-        v = make_var(family, index)
-        if exp == 0:
-            return cls.const(1)
-        return cls({((v, exp),): 1})
+        """``family_index ** exp``.  No operation changes a polynomial, so
+        ``MultiPoly`` hands out one shared instance per argument triple; a
+        subclass gets a new instance of its own class on every call."""
+        if cls is not MultiPoly:
+            return _variable(cls, family, index, exp)
+        p = _VARIABLES.get((family, index, exp))
+        if p is None:   # a bad family, index or exponent raises and is not kept
+            p = _VARIABLES[family, index, exp] = _variable(cls, family, index, exp)
+        return p
 
     @classmethod
     def monomial(cls, coeff: Scalar, mono: Monomial) -> "MultiPoly":
@@ -599,6 +612,23 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
+
+
+_VARIABLES: Dict[Tuple[str, int | None, int], MultiPoly] = {}   # filled on first use
+
+
+def _variable(cls: type, family: str, index: int | None, exp: int) -> MultiPoly:
+    """A new ``cls`` instance of one variable's power, written packed."""
+    v = make_var(family, index)
+    if exp == 0:
+        return cls.const(1)
+    s = _slot(v)
+    if abs(exp) > EXPONENT_LIMIT:
+        raise _overflow(s)
+    res = cls.__new__(cls)
+    res._terms = {exp << (_W * s): 1}
+    res._bound = abs(exp)
+    return res
 
 
 def _wrap(terms: Dict[int, Scalar], bound: int) -> MultiPoly:

@@ -44,11 +44,14 @@ def test_moment_symbolic_trivial(capsys):
 
 
 def test_moment_ill_defined_exits_2(capsys):
-    code, out, err = run_cli(
-        ["moment", "--negative", "--n", "1", "--k", "2",
-         "--b", "zero", "--lambda", "one"], capsys)
-    assert code == 2
-    assert "P_3(0)" in err
+    # b = 0, lam = 1 at k = 2: P_3 = x^3 - 2x, so P_3(0) = 0; this error
+    # comes before the one about indices below 1
+    for n in ("1", "0..3", "1..3"):
+        code, out, err = run_cli(
+            ["moment", "--negative", "--n", n, "--k", "2",
+             "--b", "zero", "--lambda", "one"], capsys)
+        assert (code, out) == (2, ""), n
+        assert err == "error: negative moments undefined: P_3(0) = 0\n", n
 
 
 def test_moment_json_schema(capsys):
@@ -295,6 +298,25 @@ def test_moment_table_is_one_stepping(capsys, monkeypatch, n_max, argv, s):
     code, out, _ = run_cli(["moment", "--n", f"0..{n_max}"] + argv, capsys)
     assert code == 0 and str(n_max) in out
     assert calls == [(n_max, s)]
+
+
+@pytest.mark.parametrize("argv, code, passes", [
+    (["--n", "1..4", "--k", "3"], 0, 2),
+    (["--n", "1..3", "--k", "3", "--lambda", "one", "--r", "1", "--s", "2"], 0, 2),
+    (["--n", "0..3", "--k", "3", "--b", "zero", "--lambda", "one"], 2, 2),   # index below 1
+    (["--n", "1..3", "--k", "2", "--b", "zero", "--lambda", "one"], 2, 1),   # ill-defined
+])
+def test_moment_negative_table_steps_the_continuants_twice(capsys, monkeypatch, argv, code,
+                                                           passes):
+    # once for theta, whose last entry is the domain check, and once for the
+    # reversed spec's phi, which adj(A) needs; no separate pass checks the domain
+    from negmom import moments
+    calls = []
+    continuants = moments._continuants
+    monkeypatch.setattr(moments, "_continuants",
+                        lambda k, spec: calls.append(spec.name) or continuants(k, spec))
+    assert run_cli(["moment", "--negative"] + argv, capsys)[0] == code
+    assert len(calls) == passes, calls
 
 
 def test_moment_negative_index_below_one_prints_no_table(capsys):

@@ -432,6 +432,52 @@ def test_usmani_singular_certificate():
     assert err.value.certificate.is_zero()
 
 
+@pytest.mark.parametrize("k", [-1, -2, -3])
+def test_negative_bound_is_refused(k):
+    # as by transfer_matrix; at -1 and -2 the continuants would give a
+    # meaningless (N, det A) and at -3 an IndexError
+    for call in (lambda: transfer_matrix(k, SYM), lambda: usmani_inverse(k, SYM),
+                 lambda: adjugate_vectors(k, SYM, 0, 1), lambda: negative_moments(2, 0, 0, k, SYM),
+                 lambda: negative_moment(1, 0, 0, k, Z1), lambda: v_inverse_closed_form(k)):
+        with pytest.raises(ValueError, match=r"^bound k must be nonnegative$"):
+            call()
+
+
+def _products(monkeypatch, call):
+    """The number of MultiPoly products ``call()`` forms."""
+    count = [0]
+    mul = MultiPoly.__mul__
+
+    def counted(p, q):
+        count[0] += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    call()
+    monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_adjugate_written_out_in_quadratic_products(monkeypatch, k):
+    # one product t_i s_j per entry on and above the diagonal, and two below
+    # it (q <- q lam_i of the column's running product, then q s_i)
+    from negmom.moments import _adjugate_factors
+    factors = _products(monkeypatch, lambda: _adjugate_factors(k, SYM, ""))
+    whole = _products(monkeypatch, lambda: usmani_inverse(k, SYM))
+    assert whole - factors == (k + 1) * (k + 2) // 2 + k * (k + 1)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5, 9])
+def test_v_inverse_closed_form_in_quadratic_products(monkeypatch, k):
+    # two running prefix products of V_t and V_t^-1, then two products a
+    # nonzero entry
+    closed = v_inverse_closed_form(k)
+    nonzero = sum(not closed[i, j].is_zero() for i in range(k + 1) for j in range(k + 1))
+    assert _products(monkeypatch, lambda: v_inverse_closed_form(k)) == 2 * (k + 1) + 2 * nonzero
+
+
 def test_v_inverse_closed_form_matches():
     for k in (2, 3, 5):
         closed = v_inverse_closed_form(k)

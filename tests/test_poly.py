@@ -17,6 +17,7 @@ from negmom.poly import (
 )
 from negmom import weights as W
 from negmom.moments import well_defined
+from negmom.ratfunc import over_power
 from test_moments import _b_exprs, _lam_exprs   # mini-language weight specs
 
 
@@ -197,8 +198,9 @@ def test_exact_division_by_constant_stays_exact():
 
 
 def test_float_coefficients_rejected():
-    with pytest.raises(TypeError):
-        MultiPoly.const(0.5)
+    for c in (0.5, 0.0):   # a zero float too
+        with pytest.raises(TypeError):
+            MultiPoly.const(c)
     with pytest.raises(TypeError):
         MultiPoly({((("b", 0), 1),): 2.0})
     with pytest.raises(TypeError):
@@ -457,6 +459,67 @@ def test_overflow_at_field_limit():
     assert top * MultiPoly.variable("x", exp=-LIMIT) == 1
     assert (b0 ** LIMIT * b1) * b0 ** -1 == b0 ** (LIMIT - 1) * b1
     assert (top + x_ ** 5) * x_ ** -5 == MultiPoly.variable("x", exp=LIMIT - 5) + 1
+
+
+# -- shared variables: no operation changes an operand ----------------------------------
+
+def _state(polys):
+    return [(dict(p._terms), p._bound) for p in polys]
+
+
+@settings_
+@given(laurent, laurent, st.sampled_from(VARS), st.integers(-3, 3).filter(bool))
+def test_operations_leave_their_operands_unchanged(p, q_, var, e):
+    # MultiPoly.variable hands out one shared instance per argument triple,
+    # which is sound only while every operation builds new terms
+    v = MultiPoly.variable(var[0], var[1], e)
+    d = v + 1   # not a unit, irreducible: over_power's division path
+    operands = [p, q_, v, d]
+    before = _state(operands)
+    p + q_, p - q_, p * q_, p * v, v * v, q_ * 3, p ** 2, v ** -2, v ** 0, -p, -v
+    P.poly_dot([(p, q_), (v, p)], start=q_)
+    P.poly_dot([(v, v)], start=v)
+    P.poly_sum([p, q_, v, -v])
+    v.unit_inverse()
+    p.shift_monomial(((var, 1),), 2)
+    v.shift_monomial(((var, -e),))
+    p.coefficient(var, e), v.coefficient(var, e)
+    p.subs({var: 2}), p.subs({var: v}), v.subs({var: 2})
+    if e > 0:   # a negative power takes only a unit
+        v.subs({var: q_})
+    over_power(p * d, d, 1), over_power(p, d, 2), over_power(p, v, 2)
+    assert _state(operands) == before
+    assert _state([MultiPoly.variable(var[0], var[1], e)]) == _state([MultiPoly({((var, e),): 1})])
+
+
+def test_variable_is_shared_but_not_across_classes():
+    assert MultiPoly.variable("b", 2) is MultiPoly.variable("b", 2) == P.b(2)
+    assert MultiPoly.variable("V", 1, -1) == MultiPoly.variable("V", 1, -1) == P.V(1) ** -1
+    assert MultiPoly.variable("q") == MultiPoly.variable("q", -1) == P.q()
+    assert MultiPoly.variable("b", 2, 0) == MultiPoly.const(1)
+
+    class Sub(MultiPoly):
+        __slots__ = ("tag",)
+
+    s1, s2 = Sub.variable("b", 2), Sub.variable("b", 2)
+    assert type(s1) is Sub and s1 is not s2 and s1 == s2 == P.b(2)
+    s1.tag = "own"   # a subclass instance is the caller's own
+    assert type(MultiPoly.variable("b", 2)) is MultiPoly
+    assert type(Sub.variable("b", 2, 0)) is Sub and type(Sub.const(3)) is Sub
+    assert type(Sub.zero()) is Sub
+
+
+@pytest.mark.parametrize("args, error", [
+    (("c", 1), ValueError),             # unknown family
+    (("b", -1), ValueError),            # negative index
+    (("b", None), ValueError),          # missing index
+    (("q", 2), ValueError),             # q carries no index
+    (("b", 0, LIMIT + 1), OverflowError),
+])
+def test_bad_variable_raises_on_every_call(args, error):
+    for _ in range(3):   # a failed call leaves nothing behind to be handed out
+        with pytest.raises(error):
+            MultiPoly.variable(*args)
 
 
 # -- the fused sum of products -------------------------------------------------------
