@@ -28,17 +28,20 @@ tests as oracles.
 Every backward value is a quotient whose only denominator is a power of
 det A.  The rows stay in the polynomial ring and each value is divided by
 its power once (``over_power``), so a value is a MultiPoly when it is
-polynomial and a RatFunc in lowest terms otherwise.  A table pays each
-fixed cost once: a step sums each entry's products into one term dict
-(``poly_dot``), and ``over_power`` certifies det A, of degree 1 in b_k,
-irreducible once (``poly.irreducible``, one small gcd, cached by det A).
-When that holds, a failed trial division by det A already proves a
-value's pair coprime, so no value probes; a reducible det A
-(``custom:[2,0]`` lambdas) is probed value by value as before.
+polynomial and a RatFunc in lowest terms otherwise.  A zero lam_i makes
+A block triangular, so det A is handed out as its blocks, the
+continuants of the runs of A between zero lam_i (one block, det A
+itself, when no lam_i is zero).  A table pays each fixed cost once: a
+step sums each entry's products into one term dict (``poly_dot``), and
+``over_power`` certifies each block irreducible once
+(``poly.irreducible``, one small gcd, cached by the block).  After that
+a failed trial division by a block proves a value coprime to it, so no
+value takes a gcd.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterator, List, Tuple, Union
 
 from .matrix import Matrix
@@ -171,17 +174,20 @@ def well_defined(k: int, spec: WeightSpec,
 # -- the inverse of A and negative moments ---------------------------------------
 
 def _adjugate_factors(k: int, spec: WeightSpec, singular: str) -> Tuple[
-        MultiPoly, List[MultiPoly], List[MultiPoly], List[MultiPoly | None]]:
-    """(det A, t, s, lam) with adj(A) semiseparable (Usmani 1994):
+        Tuple[MultiPoly, ...], List[MultiPoly], List[MultiPoly], List[MultiPoly | None]]:
+    """(blocks, t, s, lam) with adj(A) semiseparable (Usmani 1994):
 
         adj(A)_ij = t_i s_j                        (i <= j)
                   = lam_{j+1} .. lam_i t_j s_i     (i > j),
 
     t_i = (-1)^i theta_i from the leading principal minors and
     s_i = (-1)^i phi_{k-i} from the trailing ones, phi being the continuants
-    of the index-reversed spec.  A negative bound k raises ValueError, and
-    a singular A (``well_defined`` on the continuants already stepped)
-    IllDefinedError(singular) with det A as its certificate."""
+    of the index-reversed spec.  A zero lam_i makes A block triangular, so
+    det A is the product of ``blocks``, the continuants of the runs of A
+    between zero lam_i; with none, blocks is (det A,).  A negative bound k
+    raises ValueError, and a singular A (``well_defined`` on the
+    continuants already stepped) IllDefinedError(singular) with det A as
+    its certificate."""
     if k < 0:
         raise ValueError("bound k must be nonnegative")
     theta = _continuants(k, spec)
@@ -190,9 +196,13 @@ def _adjugate_factors(k: int, spec: WeightSpec, singular: str) -> Tuple[
     if not well_defined(k, spec, theta)[0]:
         raise IllDefinedError(singular, theta[k + 1])
     phi = _continuants(k, spec.reversed(k))
+    lam = [None] + [spec.lam(i) for i in range(1, k + 1)]
+    cuts = [0] + [i for i in range(1, k + 1) if lam[i].is_zero()] + [k + 1]
+    blocks = (theta[k + 1],) if len(cuts) == 2 else tuple(
+        _continuants(hi - lo - 1, spec.shift(lo))[-1] for lo, hi in zip(cuts, cuts[1:]))
     t = [-theta[i] if i % 2 else theta[i] for i in range(k + 1)]
     s = [-phi[k - i] if i % 2 else phi[k - i] for i in range(k + 1)]
-    return theta[k + 1], t, s, [None] + [spec.lam(i) for i in range(1, k + 1)]
+    return blocks, t, s, lam
 
 
 def _adjugate_rows(r: int, t_max: int, t: List[MultiPoly], s: List[MultiPoly],
@@ -219,29 +229,31 @@ def _adjugate_rows(r: int, t_max: int, t: List[MultiPoly], s: List[MultiPoly],
 
 
 def adjugate_vectors(k: int, spec: WeightSpec, r: int,
-                     t_max: int) -> Tuple[MultiPoly, List[List[MultiPoly]]]:
-    """(det A, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
-    ``moment_vectors``.  Since A^{-1} = adj(A) / det A, the backward row
+                     t_max: int) -> Tuple[Tuple[MultiPoly, ...], List[List[MultiPoly]]]:
+    """(blocks, [e_r^T adj(A)^t for t = 0..t_max]): the mirror of
+    ``moment_vectors``, det A being the product of the blocks of
+    ``_adjugate_factors``.  Since A^{-1} = adj(A) / det A, the backward row
     e_r^T A^{-t} is the t-th vector over det(A)^t, divided once by the
-    caller.  Checks the bound k, then that A is not singular
-    (IllDefinedError), then the start height."""
-    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
+    caller (``over_power`` takes the blocks).  Checks the bound k, then
+    that A is not singular (IllDefinedError), then the start height."""
+    blocks, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
     if not 0 <= r <= k:
         raise IndexError(f"start height {r} outside [0, {k}]")
-    return det, _adjugate_rows(r, t_max, t, s, lam)
+    return blocks, _adjugate_rows(r, t_max, t, s, lam)
 
 
 def negative_moments(n_max: int, r: int, s: int, k: int, spec: WeightSpec) -> List[Value]:
     """[mu_{-1}, ..., mu_{-n_max}] (heights r, s, bound k):
     mu_{-t} = (e_r^T adj(A)^t e_s) / det(A)^t, one stepping for the whole
-    table, each value divided once by ``over_power``.  Checks the bound k,
-    then the domain (P_{k+1}(0) = +-det A), then the heights."""
-    det, t_hat, s_hat, lam = _adjugate_factors(
+    table, each value divided once by ``over_power`` by the blocks of det A.
+    Checks the bound k, then the domain (P_{k+1}(0) = +-det A), then the
+    heights."""
+    blocks, t_hat, s_hat, lam = _adjugate_factors(
         k, spec, f"P_{k + 1}(0) = 0 for spec {spec.name}: no backward extension")
     if not (0 <= r <= k and 0 <= s <= k):
         raise IndexError("heights must lie in [0, k]")
     vecs = _adjugate_rows(r, n_max, t_hat, s_hat, lam)
-    return [over_power(vecs[t][s], det, t) for t in range(1, n_max + 1)]
+    return [over_power(vecs[t][s], blocks, t) for t in range(1, n_max + 1)]
 
 
 def negative_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> Value:
@@ -260,14 +272,14 @@ def usmani_inverse(k: int, spec: WeightSpec) -> Tuple[Matrix, MultiPoly]:
     q = t_j lam_{j+1} .. lam_i, so that entry (i, j) is q s_i.  A negative
     bound k raises ValueError, and a singular A IllDefinedError with det A
     as its certificate."""
-    det, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
+    blocks, t, s, lam = _adjugate_factors(k, spec, f"transfer matrix singular for {spec.name}")
     rows = [[t[i] * s[j] if i <= j else None for j in range(k + 1)] for i in range(k + 1)]
     for j in range(k):
         q = t[j]
         for i in range(j + 1, k + 1):
             q = q * lam[i]
             rows[i][j] = q * s[i]
-    return Matrix(rows), det
+    return Matrix(rows), prod(blocks[1:], start=blocks[0])   # det A, no product for one block
 
 
 def v_inverse_closed_form(k: int) -> Matrix:

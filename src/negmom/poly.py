@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 FAMILIES = ("b", "lam", "a", "V", "A", "q", "x")
@@ -862,105 +862,11 @@ def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
     return poly_sum(c._shifted(e << sh, abs(e)) for e, c in pu.items())
 
 
-_PROBE_POINTS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _primitive(p: Dict[int, int]) -> Dict[int, int]:
-    """Integer coefficients by exponent, their gcd divided out."""
-    g = _int_gcd(*p.values())
-    return {e: c // g for e, c in p.items()} if g > 1 else p
-
-
-def _integral(p: Dict[int, Scalar]) -> Dict[int, int]:
-    """A primitive integer multiple of a polynomial over the rationals."""
-    den = _int_lcm(*(c.denominator for c in p.values()))
-    return _primitive({e: c.numerator * (den // c.denominator) for e, c in p.items()})
-
-
-def _univ_gcd_degree(a: Dict[int, Scalar], b: Dict[int, Scalar]) -> int:
-    """Degree of gcd of two univariate polynomials over the rationals: a
-    primitive remainder sequence over the integers, denominators cleared."""
-    fa, fb = _integral(a), _integral(b)
-    while fb:
-        db = max(fb)
-        lb = fb[db]
-        while fa and max(fa) >= db:
-            da = max(fa)
-            g = _int_gcd(fa[da], lb)
-            ma, mb = lb // g, fa[da] // g
-            fa = {e: ma * c for e, c in fa.items()}
-            for e, c in fb.items():
-                t = e + da - db
-                nc = fa.get(t, 0) - mb * c
-                if nc:
-                    fa[t] = nc
-                else:
-                    fa.pop(t, None)
-        fa, fb = fb, _primitive(fa)
-    return max(fa) if fa else 0
-
-
-def _probe_values(cols: Dict[int, List[int]], n: int, point: Dict[int, int]) -> List[int]:
-    """Each term's monomial evaluated at the integer ``point`` (slot -> value)."""
-    vals = [1] * n
-    for s, col in cols.items():
-        x = point[s]
-        pw = {e: x ** e for e in set(col)}
-        vals = [v * pw[e] for v, e in zip(vals, col)]
-    return vals
-
-
-def _project(coeffs: List[Scalar], vals: List[int], col: List[int], x: int) -> Dict[int, Scalar]:
-    """{w-exponent: value} of a polynomial with every variable but w at the
-    probe point: each term's value with w's factor ``x**e`` divided back out."""
-    pw = {e: x ** e for e in set(col)}
-    out: Dict[int, Scalar] = {}
-    for c, v, e in zip(coeffs, vals, col):
-        out[e] = out.get(e, 0) + c * (v // pw[e])
-    return {e: c for e, c in out.items() if c}
-
-
-def _gcd_probe_constant(f: MultiPoly, g: MultiPoly, common: set) -> bool:
-    """Sound certificate that gcd(f, g) is constant, for true polynomials.
-
-    For each common variable w, the w-degree of the true gcd is bounded
-    by the gcd degree of integer projections (every other variable set to
-    a probe point) that keep both w-degrees; if some projection is coprime
-    for every w, the gcd has degree 0 everywhere.  Each operand is decoded
-    once, into one exponent column per variable.  At each probe point a
-    term's value over all variables is computed once; its projection onto
-    w divides w's factor back out.  The columns and values serve every
-    variable and attempt, and are dropped on return.
-    """
-    ops = [(list(p._terms.values()), _columns(p._terms), {}) for p in (f, g)]
-    slots = sorted(ops[0][1].keys() | ops[1][1].keys(), key=_RANK.__getitem__)
-    points = [{s: _PROBE_POINTS[(i + 5 * attempt) % len(_PROBE_POINTS)]
-               for i, s in enumerate(slots)} for attempt in range(3)]
-
-    def settles(ws: int, attempt: int) -> bool:
-        proj = []
-        for coeffs, cols, values in ops:
-            vals = values.get(attempt)
-            if vals is None:
-                vals = values[attempt] = _probe_values(cols, len(coeffs), points[attempt])
-            p = _project(coeffs, vals, cols[ws], points[attempt][ws])
-            # a projection that drops the w-degree makes the bound inconclusive
-            if not p or max(p) != max(cols[ws]):
-                return False
-            proj.append(p)
-        return _univ_gcd_degree(*proj) == 0
-
-    return all(any(settles(_SLOT[w], attempt) for attempt in range(3))
-               for w in sorted(common, key=_var_key))
-
-
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd up to units, with zero monomial content and unit rational content.
 
     Recursive over the variable tower with the subresultant PRS in the
-    main variable; a projection probe short-circuits the common coprime
-    case, so nested content computations stay cheap.  Constants have
-    gcd 1.
+    main variable.  Constants have gcd 1.
     """
     if f.is_zero():
         return _normalize_gcd(g)
@@ -972,8 +878,6 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.const(1)
     common = fh.variables() & gh.variables()
     if not common:
-        return MultiPoly.const(1)
-    if _gcd_probe_constant(fh, gh, common):
         return MultiPoly.const(1)
     # shortest PRS: main variable with the smallest larger degree
     v = min(common, key=lambda w: (max(fh.degree(w), gh.degree(w)), _var_key(w)))

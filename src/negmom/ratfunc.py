@@ -7,9 +7,10 @@ when it is a single term (a Laurent unit), or its rational content
 signed by its leading coefficient, so a denominator is 1 or an integer
 primitive polynomial with positive leading coefficient.  Two RatFuncs
 are equal when their cross products are.  Lowest terms are decided in
-one place, ``over_power``, which divides out the gcd when a quotient by
-a power of d is not polynomial.  No arithmetic is defined on RatFunc:
-the program computes in the polynomial ring and divides once.
+one place, ``over_power``, which strips the factors of d, each certified
+irreducible, from a quotient by a power of d by trial division.  No
+arithmetic is defined on RatFunc: the program computes in the
+polynomial ring and divides once.
 
 The series utilities, ``series_expand`` and ``cf_eval``, stay only for
 alt-cf's independent route: no moment is expanded from a generating
@@ -98,35 +99,46 @@ def x_coeffs(p: MultiPoly) -> Dict[int, MultiPoly]:
     return p.as_univariate(X_VAR)
 
 
-def over_power(num: MultiPoly, d: MultiPoly, e: int) -> Union[MultiPoly, RatFunc]:
-    """num / d**e in lowest terms: a MultiPoly when the quotient is
-    polynomial, otherwise a RatFunc whose pair is coprime and whose
-    denominator has no monomial content.  This is the one place where a
-    quotient is reduced, so its rendering is canonical.
+def over_power(num: MultiPoly, blocks: Sequence[MultiPoly],
+               e: int) -> Union[MultiPoly, RatFunc]:
+    """num / d**e in lowest terms, d the product of ``blocks``: a MultiPoly
+    when the quotient is polynomial, otherwise a RatFunc whose pair is
+    coprime and whose denominator has no monomial content.  This is the
+    one place where a quotient is reduced, so its rendering is canonical.
 
-    Factors of d are stripped from num by trial exact division.  When a
-    division fails, coprimality is tested against d itself, not against
-    the power left: if gcd(num, d) is constant so is gcd(num, d**e), and
-    the pair is built as it stands.  Otherwise gcd(num, d**e) is divided
-    out of both.  When d is certified irreducible (``poly.irreducible``,
-    cached by d, so once per table) the failed division is itself the
-    proof, since an irreducible d that does not divide num is coprime to
-    it, and the gcd probe is skipped.
+    A unit block is multiplied out.  Every other block B is stripped from
+    num by trial exact division, at most e times, and B to the power left
+    joins the denominator.  When B is certified irreducible
+    (``poly.irreducible``, cached by B, so once per table) a failed
+    division proves num coprime to B, and no gcd is taken.  Only a block
+    the certificate cannot settle falls back to gcds: if gcd(num, B) is
+    not constant, gcd(num, B**left) is divided out of both.  No block of
+    ``moments._adjugate_factors`` on a mini-language spec has been found
+    to need that fallback (tests/sweep_digests.py and a hypothesis search
+    of zero-or-monomial lam check it), so it is for hand-built specs.
     """
-    if d.is_term():
-        return num * d.unit_inverse() ** e
-    while e and not num.is_zero():
+    if num.is_zero():
+        return num
+    den = MultiPoly.const(1)
+    for d in blocks:
+        if d.is_term():
+            num = num * d.unit_inverse() ** e
+            continue
+        left = e
         try:
-            num = poly_div_exact(num, d)
+            while left:
+                num = poly_div_exact(num, d)
+                left -= 1
         except ExactDivisionError:
-            den = d ** e
+            power = d ** left
             if not irreducible(d) and not poly_gcd(num, d).is_const():
-                g = poly_gcd(num, den)
-                num, den = poly_div_exact(num, g), poly_div_exact(den, g)
-            mono = den.monomial_content()   # a unit: moved into the numerator
-            return RatFunc(num.shift_monomial(mono, -1), den.shift_monomial(mono, -1))
-        e -= 1
-    return num
+                g = poly_gcd(num, power)
+                num, power = poly_div_exact(num, g), poly_div_exact(power, g)
+            den = den * power
+    if den.is_const():
+        return num
+    mono = den.monomial_content()   # a unit: moved into the numerator
+    return RatFunc(num.shift_monomial(mono, -1), den.shift_monomial(mono, -1))
 
 
 def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:

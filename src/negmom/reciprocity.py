@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import paths
@@ -157,7 +157,7 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
     ident = "main"
     K = k + m - 1
     try:
-        d, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
+        blocks, vecs = adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
     except IllDefinedError:
         return skipped(ident, params, f"P_{K + 1}(0) = 0: backward side undefined")
     lhs = hankel_determinant(_moment_run(K, spec, n + 2 * m - 2, 1, 2 * k - 1))
@@ -168,6 +168,7 @@ def check_main_reciprocity(n: int, k: int, m: int, spec: WeightSpec) -> Identity
         elif i < k:
             rhs_lam = rhs_lam * spec.lam(i) ** (k - i)
     c = [u[0] for u in vecs[n:]]
+    d = prod(blocks[1:], start=blocks[0])   # det A, which the condensation divides out
     reduced = reduced_hankel_determinant(c, d, n)
     if reduced is not None:
         check = check_values(ident, params, lhs, reduced * rhs_lam)
@@ -202,9 +203,9 @@ def check_conjecture50(n: int, k: int, m: int) -> IdentityCheck:
     if js:
         sums = dict(enumerate(map(poly_sum, moment_vectors(bound, spec, 0, max(js[-1], 0)))))
         if js[0] < 0:
-            det, vecs = adjugate_vectors(bound, spec, 0, -js[0])
+            blocks, vecs = adjugate_vectors(bound, spec, 0, -js[0])
             for t, u in enumerate(vecs[1:], 1):
-                sums[-t] = over_power(poly_sum(u), det, t)
+                sums[-t] = over_power(poly_sum(u), blocks, t)
     lhs = hankel_determinant([sums[j] for j in js])
     rhs = hankel_determinant([paths.count_alt(n + t, K) for t in range(2 * m - 1)])
     sign = (-1) ** ((comb(k, 2) + comb(m, 2)) * (n + 1) % 2)   # n + 1 may be negative
@@ -479,8 +480,8 @@ def check_connection2(n: int, k: int) -> IdentityCheck:
     ``b_special(k).reversed(k)``, as alternating counts."""
     params = {"n": n, "k": k}
     spec = b_special(k).reversed(k)
-    d, vecs = adjugate_vectors(k, spec, 0, n)
-    lhs = (-1) ** (k * n) * over_power(vecs[n][0], d, n)
+    blocks, vecs = adjugate_vectors(k, spec, 0, n)
+    lhs = (-1) ** (k * n) * over_power(vecs[n][0], blocks, n)
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
     return check_values("connection2", params, lhs, rhs)
 
@@ -499,19 +500,19 @@ def _v_ratio(r: int, s: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _pinned_pv3_row(n: int, r: int, bound: int,
-                    unit_weights: bool) -> Tuple[MultiPoly, List[MultiPoly]]:
-    """(det A, e_r^T adj(A)^n) at the bound under ``one_one()`` or
+                    unit_weights: bool) -> Tuple[Tuple[MultiPoly, ...], List[MultiPoly]]:
+    """(blocks of det A, e_r^T adj(A)^n) at the bound under ``one_one()`` or
     ``v_inverse()``: a ``pv3-rs`` grid's tuples that differ only in s share
     it.  The key holds integers and a flag set in this module, never a
     caller's ``WeightSpec``: specs compare by name."""
-    d, vecs = adjugate_vectors(bound, one_one() if unit_weights else v_inverse(), r, n)
-    return d, vecs[n]
+    blocks, vecs = adjugate_vectors(bound, one_one() if unit_weights else v_inverse(), r, n)
+    return blocks, vecs[n]
 
 
 def _pinned_pv3_moment(n: int, r: int, s: int, bound: int, unit_weights: bool) -> Value:
     """``negative_moment(n, r, s, bound, spec)`` for the spec named by the flag."""
-    d, row = _pinned_pv3_row(n, r, bound, unit_weights)
-    return over_power(row[s], d, n)
+    blocks, row = _pinned_pv3_row(n, r, bound, unit_weights)
+    return over_power(row[s], blocks, n)
 
 
 def _v_sum(seqs) -> MultiPoly:

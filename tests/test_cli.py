@@ -803,3 +803,17 @@ def test_moment_forward_rendered_golden(argv, code, lines, capsys):
     # forward tables byte for byte: every (r, s) corner, ranges not starting
     # at 0, custom prefixes, fractional and Laurent weights, csv and json
     _assert_moment_golden(argv, code, lines, capsys)
+
+
+def test_sweep_digests_unchanged(monkeypatch):
+    # every run of the digest corpus (tests/sweep_digests.py: moment tables
+    # over the mini-language, zero lam_i among them, sequences and usage
+    # errors) prints and exits byte for byte as recorded; a difference
+    # names its argv.  No run reaches over_power's gcd fallback: every
+    # block of det A that is not a unit is certified irreducible
+    import sweep_digests
+    from negmom import ratfunc
+    gcd, calls = ratfunc.poly_gcd, []
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    assert sweep_digests.differing() == []
+    assert calls == []

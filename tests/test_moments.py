@@ -3,13 +3,14 @@ of gf_oracle.py and sympy."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negmom import poly as P
-from negmom import reciprocity
+from negmom import ratfunc, reciprocity
 from negmom import weights as W
 from negmom.matrix import determinant
 from negmom.moments import (
@@ -333,16 +334,57 @@ def test_stepped_table_specializes_and_matches_the_reversed_gf(data):
         assert not den.is_zero() and num * got.den == got.num * den, n
 
 
-def test_symbolic_table_probes_coprimality_at_most_once(monkeypatch):
-    # det A is certified irreducible once per table (P.irreducible, one
-    # small gcd, cached by d); after that a failed trial division proves a
-    # value's pair coprime, so over_power probes none of the six values
-    P.irreducible.cache_clear()   # the certificate's own probe counts too
-    probe, calls = P._gcd_probe_constant, []
-    monkeypatch.setattr(P, "_gcd_probe_constant", lambda *a: calls.append(a) or probe(*a))
-    table = negative_moments(6, 0, 0, 5, W.symbolic())
-    assert len(calls) <= 1
-    assert all(isinstance(v, RatFunc) for v in table)   # every value met the probe's branch
+def test_negative_tables_reduce_without_a_gcd(monkeypatch):
+    # each block of det A (all of it, or with lam_2 = 0 the continuants
+    # b0 b1 - 1 and b2 b3 b4 b5 - ...) is certified irreducible once
+    # (P.irreducible, cached by the block); after that a failed trial
+    # division proves a value coprime to the block, so over_power takes no
+    # gcd for any value of either table
+    gcd, calls = ratfunc.poly_gcd, []
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *a: calls.append(a) or gcd(*a))
+    for lam in ("symbolic", "custom:[1,0,1]"):
+        P.irreducible.cache_clear()
+        table = negative_moments(6, 0, 0, 5, W.spec("symbolic", lam))
+        assert calls == [], lam
+        assert all(isinstance(v, RatFunc) for v in table), lam   # every value met a failed division
+
+
+@st.composite
+def _zero_or_monomial_specs(draw):
+    """(k, spec), k <= 6: b a numeric or symbolic prefix continued by the
+    symbols b_i, and each lam_i zero, a number or c lam_i^(+-1)."""
+    k = draw(st.integers(0, 6))
+    b = draw(st.lists(st.sampled_from([None, 0, 1, -1, 2, Fraction(1, 2)]), max_size=k + 1))
+    lam = draw(st.lists(st.tuples(st.sampled_from([0, 0, 1, -1, 3, Fraction(-1, 3)]),
+                                  st.sampled_from([0, 1, -1])), min_size=k, max_size=k))
+
+    def b_fn(i):
+        return P.b(i) if i >= len(b) or b[i] is None else MultiPoly.const(b[i])
+
+    def lam_fn(i):
+        c, e = lam[i - 1]
+        return c * MultiPoly.variable("lam", i, e) if e else MultiPoly.const(c)
+
+    return k, W.WeightSpec(f"b={b},lam={lam}", b_fn, lam_fn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_or_monomial_specs())
+def test_det_splits_into_irreducible_blocks_at_zero_lams(k_spec):
+    # the blocks that over_power strips one by one: their product is det A,
+    # and each one that is not a unit is one irreducible factor (sympy),
+    # certified by P.irreducible, so no value reaches over_power's gcds
+    sympy = pytest.importorskip("sympy")
+    k, spec = k_spec
+    assume(well_defined(k, spec)[0])
+    blocks, _ = adjugate_vectors(k, spec, 0, 0)
+    assert prod(blocks) == determinant(transfer_matrix(k, spec))
+    for d in blocks:
+        if not d.is_term():
+            dh = d.shift_monomial(d.monomial_content(), -1)
+            _, factors = sympy.factor_list(_to_sympy(sympy, dh))
+            assert sum(m for _, m in factors) == 1, d.render()
+            assert P.irreducible(d), d.render()
 
 
 def test_negative_moments_checks_the_domain():

@@ -284,7 +284,7 @@ def test_gcd_agrees_with_sympy(f, g, h):
         assert len(sympy.Poly(part, *names.values()).terms()) == 1
 
 
-# -- exact division and the gcd probe against sympy -----------------------------------
+# -- exact division and gcd against sympy -----------------------------------
 
 # b0 < b1 < lam1 < x in variable order, so x is a divisor's main variable
 TOWER = (P.b(0), P.b(1), P.lam(1), P.x())
@@ -361,18 +361,18 @@ def probe_pairs(draw):
 @given(probe_pairs())
 @example(((1 + P.b(0)) * (2 + P.b(1)), (1 + P.b(0)) * (1 + P.b(1))))
 @example((P.b(0) * (1 + P.b(1)), P.b(0) * (2 + P.lam(1))))   # a shared monomial
-# the shared h = (b0 - 3)(b1 - 5) + 1 projects to 1 at the first probe point
-# (b0, b1) = (3, 5) in either variable, so only the degree check stops a false certificate
+# the shared h = (b0 - 3)(b1 - 5) + 1 is 1 at (b0, b1) = (3, 5), so any
+# evaluation there in either variable hides it
 @example((((P.b(0) - 3) * (P.b(1) - 5) + 1) * (1 + P.b(0)),
           ((P.b(0) - 3) * (P.b(1) - 5) + 1) * (2 + P.b(1))))
 def test_gcd_probe_is_sound(pair):
-    """Whenever the probe certifies gcd(f, g) constant, sympy agrees."""
+    """poly_gcd(f, g) is constant, the coprimality verdict ``irreducible``
+    rests on, exactly when sympy's gcd is a unit of the Laurent ring."""
     f, g = pair
-    common = f.variables() & g.variables()
-    assume(not f.is_zero() and not g.is_zero() and common)
-    if P._gcd_probe_constant(f, g, common):
-        sympy, (F, G), gens = _sympy_of(f, g)
-        assert sympy.Poly(sympy.gcd(F, G), *gens).is_ground
+    assume(not f.is_zero() and not g.is_zero())
+    sympy, (F, G), gens = _sympy_of(f, g)
+    unit = len(sympy.Poly(sympy.gcd(F, G), *gens).terms()) == 1
+    assert poly_gcd(f, g).is_const() == unit
 
 
 LIMIT = P.EXPONENT_LIMIT
@@ -487,7 +487,7 @@ def test_operations_leave_their_operands_unchanged(p, q_, var, e):
     p.subs({var: 2}), p.subs({var: v}), v.subs({var: 2})
     if e > 0:   # a negative power takes only a unit
         v.subs({var: q_})
-    over_power(p * d, d, 1), over_power(p, d, 2), over_power(p, v, 2)
+    over_power(p * d, (d,), 1), over_power(p, (d,), 2), over_power(p, (v,), 2)
     assert _state(operands) == before
     assert _state([MultiPoly.variable(var[0], var[1], e)]) == _state([MultiPoly({((var, e),): 1})])
 

@@ -24,7 +24,7 @@ X = P.x()
 
 def test_reduction_cancels_common_factor():
     # over_power is where a quotient is reduced: (1 - x^2) / (1 - x) = 1 + x
-    assert over_power(1 - X * X, 1 - X, 1) == 1 + X
+    assert over_power(1 - X * X, (1 - X,), 1) == 1 + X
 
 
 def test_unit_denominator_absorbed():
@@ -109,7 +109,7 @@ def test_over_power_reduces_a_proper_shared_factor():
     # are not coprime: the result is still reduced, not num / d^2 as built
     b0, b1 = P.b(0), P.b(1)
     d, num = (1 + b0) * (1 + b1), (1 + b0) * (2 + b1)
-    got = over_power(num, d, 2)
+    got = over_power(num, (d,), 2)
     _assert_reduced_like_ratfunc(got, num, d, 2)
     assert got.den == (1 + b0) * (1 + b1) ** 2
 
@@ -122,10 +122,13 @@ _linear = st.builds(lambda c, k, v: c + k * v, st.integers(1, 3), st.sampled_fro
 @given(_linear, _linear, _linear, _b_polys, st.sampled_from([1, P.b(0), P.lam(1) ** 2]),
        st.integers(1, 3))
 def test_over_power_matches_reduced_ratfunc(p, s, t, extra, mono, e):
-    """d = p*s and num = p*t*extra share the factor p; d may carry a monomial."""
+    """d = p*s and num = p*t*extra share the factor p; d may carry a monomial.
+    Whole, d is reducible and takes the gcd fallback; split into the
+    certified blocks (p*mono, s) it is stripped by trial division alone."""
     assume(not extra.is_zero())
     d, num = p * s * mono, p * t * extra
-    _assert_reduced_like_ratfunc(over_power(num, d, e), num, d, e)
+    _assert_reduced_like_ratfunc(over_power(num, (d,), e), num, d, e)
+    _assert_reduced_like_ratfunc(over_power(num, (p * mono, s), e), num, d, e)
 
 
 @settings(max_examples=25, deadline=None)

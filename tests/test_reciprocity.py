@@ -1,5 +1,7 @@
 """Identity checks on small grids; the acceptance suite runs the full ones."""
 
+from math import prod
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -129,8 +131,8 @@ def test_main_reciprocity_non_palindromic_numeric_spec(nkm, data):
 def _backward_grid(n, k, m, spec):
     """d and the entries c_n..c_{n+2m-2} of main's backward grid."""
     K = k + m - 1
-    d, vecs = reciprocity.adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
-    return d, [u[0] for u in vecs[n:]]
+    blocks, vecs = reciprocity.adjugate_vectors(K, spec.reversed(K), 0, n + 2 * (m - 1))
+    return prod(blocks), [u[0] for u in vecs[n:]]
 
 
 def _cleared_main(n, k, m, spec):
@@ -213,8 +215,8 @@ def test_main_inexact_division_falls_back_to_the_cleared_equality(monkeypatch):
     adjugate_vectors_ = reciprocity.adjugate_vectors
 
     def shifted_d(*args):
-        d, vecs = adjugate_vectors_(*args)
-        return d + 1, vecs
+        blocks, vecs = adjugate_vectors_(*args)
+        return (prod(blocks) + 1,), vecs
     monkeypatch.setattr(reciprocity, "adjugate_vectors", shifted_d)
     for nkm in ((1, 1, 2), (2, 1, 2), (1, 1, 3)):
         check, condensed = _main_and_path(*nkm, W.symbolic(), monkeypatch)
@@ -274,7 +276,7 @@ def test_reversal_commutes_with_specializing(b, lam):
     assign.update({("lam", i): lam[i - 1] for i in range(1, K + 1)})
     d_sym, vecs_sym = adjugate_vectors(K, W.symbolic().reversed(K), 0, 2)
     d_num, vecs_num = adjugate_vectors(K, numeric.reversed(K), 0, 2)
-    assert d_sym.subs(assign) == d_num
+    assert prod(d_sym).subs(assign) == prod(d_num)
     assert [c.subs(assign) for c in vecs_sym[2]] == vecs_num[2]
 
 
