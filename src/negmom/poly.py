@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 FAMILIES = ("b", "lam", "a", "V", "A", "q", "x")
@@ -567,14 +567,24 @@ class MultiPoly:
             return self
         return self._shifted(*_encode((v, e * power) for v, e in mono))
 
-    def rational_content(self) -> Fraction:
-        """gcd of the coefficients (positive), 0 for the zero polynomial."""
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(0)
+    def primitive(self) -> Tuple["MultiPoly", "MultiPoly"]:
+        """``(unit, part)`` with ``self == unit * part``: the unit a single
+        term (monomial content times signed rational content), the part a
+        true polynomial with zero monomial content, coprime integer
+        coefficients and a positive leading coefficient.  Zero gives
+        ``(1, 0)``.  The one normal form of a gcd and of a denominator."""
+        terms = self._terms
+        if len(terms) <= 1:
+            return (self, _ONE) if terms else (_ONE, self)
+        key, kb = _content(terms)
+        part = self._shifted(-key, kb)
+        scale = _exact_quo(_int_gcd(*(c.numerator for c in terms.values())),
+                           _int_lcm(*(c.denominator for c in terms.values())))
+        if part.leading()[1] < 0:
+            scale = -scale
+        if scale != 1:
+            part = _wrap({k: _exact_quo(c, scale) for k, c in part._terms.items()}, part._bound)
+        return _wrap({key: scale}, kb), part
 
     # -- rendering ----------------------------------------------------------
 
@@ -615,6 +625,7 @@ class MultiPoly:
 
 
 _VARIABLES: Dict[Tuple[str, int | None, int], MultiPoly] = {}   # filled on first use
+_ONE = MultiPoly.const(1)   # shared: no operation changes a built polynomial
 
 
 def _variable(cls: type, family: str, index: int | None, exp: int) -> MultiPoly:
@@ -835,26 +846,21 @@ def _divide(f: MultiPoly, g: _Divisor) -> MultiPoly:
     return _wrap(out, f._bound)
 
 
-def _frac_gcd(a_: Fraction, b_: Fraction) -> Fraction:
-    if not a_:
-        return abs(b_)
-    if not b_:
-        return abs(a_)
-    num = _int_gcd(a_.numerator, b_.numerator)
-    den = a_.denominator * b_.denominator // _int_gcd(a_.denominator, b_.denominator)
-    return Fraction(num, den)
-
-
 def _content_and_pp(p: MultiPoly, v: Var) -> Tuple[MultiPoly, Dict[int, MultiPoly]]:
     """Content (gcd of v-coefficients) and the univariate view of p."""
     pu = p.as_univariate(v)
-    coeffs = list(pu.values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
+    return _gcd_of(pu.values()), pu
+
+
+def _gcd_of(polys: Iterable[MultiPoly]) -> MultiPoly:
+    """gcd of two or more polynomials, stopping at the first constant."""
+    it = iter(polys)
+    cont = next(it)
+    for c in it:
         cont = poly_gcd(cont, c)
         if cont.is_const():
             break
-    return cont, pu
+    return cont
 
 
 def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
@@ -863,35 +869,31 @@ def _univ_to_poly(pu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd up to units, with zero monomial content and unit rational content.
+    """gcd in the Laurent ring, in ``primitive()``'s normal form: a true
+    polynomial with zero monomial content, coprime integer coefficients and
+    a positive leading coefficient.  Constants have gcd 1.
 
-    Recursive over the variable tower with the subresultant PRS in the
-    main variable.  Constants have gcd 1.
+    Recursive over the variable tower: in the main variable v the contents
+    recurse, and the primitive parts run ``_subresultant_prs``, whose every
+    division is exact (Knuth's Algorithm C; Collins 1967; Brown 1971).
     """
     if f.is_zero():
-        return _normalize_gcd(g)
+        return g.primitive()[1]
     if g.is_zero():
-        return _normalize_gcd(f)
+        return f.primitive()[1]
     _, _, fh = _strip_laurent(f)
     _, _, gh = _strip_laurent(g)
-    if fh.is_const() or gh.is_const():
-        return MultiPoly.const(1)
     common = fh.variables() & gh.variables()
-    if not common:
-        return MultiPoly.const(1)
-    # shortest PRS: main variable with the smallest larger degree
+    if not common:   # a constant, or no variable in common
+        return _ONE
+    # shortest PRS: main variable with the smallest larger degree; both
+    # have degree >= 1 in it, as neither has monomial content
     v = min(common, key=lambda w: (max(fh.degree(w), gh.degree(w)), _var_key(w)))
-    if fh.degree(v) == 0 or gh.degree(v) == 0:
-        with_v, without = (fh, gh) if gh.degree(v) == 0 else (gh, fh)
-        cont, _ = _content_and_pp(with_v, v)
-        return _normalize_gcd(poly_gcd(cont, without))
     cf, fu = _content_and_pp(fh, v)
     cg, gu = _content_and_pp(gh, v)
-    cont = poly_gcd(cf, cg)
     fp = {e: poly_div_exact(c, cf) for e, c in fu.items()}
     gp = {e: poly_div_exact(c, cg) for e, c in gu.items()}
-    pp = _subresultant_prs(fp, gp, v)
-    return _normalize_gcd(cont * pp)
+    return (poly_gcd(cf, cg) * _subresultant_prs(fp, gp, v)).primitive()[1]
 
 
 @lru_cache(maxsize=64)
@@ -913,16 +915,6 @@ def irreducible(d: MultiPoly) -> bool:
             cu = dh.as_univariate(w)
             return poly_gcd(cu[1], cu[0]).is_const()
     return False
-
-
-def _normalize_gcd(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return p
-    _, _, ph = _strip_laurent(p)
-    cont = ph.rational_content()
-    _, lead_c = ph.leading()
-    sign = -1 if lead_c < 0 else 1
-    return ph * (Fraction(1) / (cont * sign))
 
 
 def _pseudo_rem(fu: Dict[int, MultiPoly], gu: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
@@ -954,64 +946,34 @@ def _pseudo_rem(fu: Dict[int, MultiPoly], gu: Dict[int, MultiPoly]) -> Dict[int,
     return r
 
 
-def _cheap_strip(r: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
-    """Divide out rational and monomial content shared by all coefficients."""
-    polys = list(r.values())
-    cont = polys[0].rational_content()
-    for p in polys[1:]:
-        cont = _frac_gcd(cont, p.rational_content())
-        if cont == 1:
-            break
-    key, kb = _content([k for p in polys for k in p._terms])
-    out = r
-    if cont not in (0, 1):
-        inv = Fraction(1) / cont
-        out = {e: p * inv for e, p in out.items()}
-    if key:
-        out = {e: p._shifted(-key, kb) for e, p in out.items()}
-    return out
-
-
 def _subresultant_prs(fu: Dict[int, MultiPoly], gu: Dict[int, MultiPoly], v: Var) -> MultiPoly:
-    """gcd of two primitive polynomials in (R[others])[v], as a primitive poly.
+    """gcd of two primitive polynomials in (R[others])[v], up to a constant.
 
-    Remainders are reduced by the subresultant factors; if a factor turns
-    out not to divide exactly (the bookkeeping is conservative), the step
-    falls back to stripping cheap content, which keeps the result correct
-    at the price of larger intermediates.
+    Knuth's Algorithm C (TAOCP vol. 2, section 4.6.1) as written.  With
+    g = h = 1 at the start, each step takes the pseudo-remainder r of the
+    last two remainders u, w (deg u - deg w = delta), replaces (u, w) by
+    (w, r / (g h^delta)), then sets g = lc(w) and h = g^delta / h^(delta-1).
+    By the subresultant theorem (Collins 1967; Brown 1971) each quotient
+    r / (g h^delta) is, up to sign, a subresultant of the two inputs, and
+    each h, up to sign, a principal subresultant coefficient: all lie in
+    R[others], so both divisions are exact, and a bookkeeping error raises
+    ``ExactDivisionError`` rather than passing unseen.  The gcd is the
+    primitive part of the last nonzero remainder.
     """
     if max(fu) < max(gu):
         fu, gu = gu, fu
-    g_fac = MultiPoly.const(1)
-    h_fac = MultiPoly.const(1)
-    first = True
+    g_fac = h_fac = _ONE
     while True:
         delta = max(fu) - max(gu)
         r = _pseudo_rem(fu, gu)
         if not r:
             break
         if max(r) == 0:
-            return MultiPoly.const(1)
-        if first:
-            divisor = MultiPoly.const((-1) ** (delta + 1))
-            first = False
-        else:
-            divisor = -g_fac * (h_fac ** delta)
-        try:
-            r = {e: poly_div_exact(c, divisor) for e, c in r.items()}
-        except ExactDivisionError:
-            r = _cheap_strip(r)
-        fu, gu = gu, r
+            return _ONE
+        divisor = g_fac * h_fac ** delta
+        fu, gu = gu, {e: poly_div_exact(c, divisor) for e, c in r.items()}
         g_fac = fu[max(fu)]
-        if delta >= 1:
-            try:
-                h_fac = poly_div_exact(g_fac ** delta, h_fac ** (delta - 1))
-            except ExactDivisionError:
-                h_fac = g_fac ** delta
-    cont = None
-    for c in gu.values():
-        cont = c if cont is None else poly_gcd(cont, c)
-        if cont.is_const():
-            break
-    gp = {e: poly_div_exact(c, cont) for e, c in gu.items()}
-    return _univ_to_poly(gp, v)
+        if delta:   # delta = 0 leaves h as it is
+            h_fac = poly_div_exact(g_fac ** delta, h_fac ** (delta - 1))
+    cont = _gcd_of(gu.values())
+    return _univ_to_poly({e: poly_div_exact(c, cont) for e, c in gu.items()}, v)

@@ -1,16 +1,16 @@
 """Rational functions over the exact polynomial ring, as values.
 
 A ``RatFunc`` is a numerator/denominator pair of ``MultiPoly``, built as
-given: construction never computes a gcd.  It only normalizes the
-denominator, moving into the numerator either the whole denominator,
-when it is a single term (a Laurent unit), or its rational content
-signed by its leading coefficient, so a denominator is 1 or an integer
-primitive polynomial with positive leading coefficient.  Two RatFuncs
-are equal when their cross products are.  Lowest terms are decided in
-one place, ``over_power``, which strips the factors of d, each certified
-irreducible, from a quotient by a power of d by trial division.  No
-arithmetic is defined on RatFunc: the program computes in the
-polynomial ring and divides once.
+given: construction never computes a gcd.  It only puts the denominator
+in the one normal form, ``MultiPoly.primitive()``, and moves the unit it
+splits off (monomial content times signed rational content) into the
+numerator, so a denominator is 1 or a true polynomial with zero monomial
+content, coprime integer coefficients and a positive leading
+coefficient.  Two RatFuncs are equal when their cross products are.
+Lowest terms are decided in one place, ``over_power``, which strips the
+factors of d, each certified irreducible, from a quotient by a power of
+d by trial division.  No arithmetic is defined on RatFunc: the program
+computes in the polynomial ring and divides once.
 
 The series utilities, ``series_expand`` and ``cf_eval``, stay only for
 alt-cf's independent route: no moment is expanded from a generating
@@ -42,8 +42,9 @@ def _as_poly(p: PolyLike) -> MultiPoly:
 
 
 class RatFunc:
-    """num/den as built, its denominator normalized.  Not reduced
-    (``over_power`` gives lowest terms), so equality is by
+    """num/den as built, its denominator in ``primitive()``'s normal form
+    (the unit split off it joins the numerator).  Not reduced: lowest
+    terms are ``over_power``'s to decide, so equality is by
     cross-multiplication and a RatFunc is unhashable: equal values need
     not share a pair."""
 
@@ -56,16 +57,9 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             num, den = MultiPoly.zero(), MultiPoly.const(1)
-        elif den.is_term():
-            # a Laurent unit: absorb it into the numerator
-            num, den = num * den.unit_inverse(), MultiPoly.const(1)
         else:
-            scale = den.rational_content()
-            if den.leading()[1] < 0:
-                scale = -scale
-            if scale != 1:
-                num = num * (1 / scale)
-                den = den * (1 / scale)
+            unit, den = den.primitive()
+            num = num * unit.unit_inverse()
         self.num = num
         self.den = den
 
@@ -103,8 +97,9 @@ def over_power(num: MultiPoly, blocks: Sequence[MultiPoly],
                e: int) -> Union[MultiPoly, RatFunc]:
     """num / d**e in lowest terms, d the product of ``blocks``: a MultiPoly
     when the quotient is polynomial, otherwise a RatFunc whose pair is
-    coprime and whose denominator has no monomial content.  This is the
-    one place where a quotient is reduced, so its rendering is canonical.
+    coprime (``RatFunc`` puts its denominator in ``primitive()``'s normal
+    form).  This is the one place where a quotient is reduced, so its
+    rendering is canonical.
 
     A unit block is multiplied out.  Every other block B is stripped from
     num by trial exact division, at most e times, and B to the power left
@@ -135,10 +130,7 @@ def over_power(num: MultiPoly, blocks: Sequence[MultiPoly],
                 g = poly_gcd(num, power)
                 num, power = poly_div_exact(num, g), poly_div_exact(power, g)
             den = den * power
-    if den.is_const():
-        return num
-    mono = den.monomial_content()   # a unit: moved into the numerator
-    return RatFunc(num.shift_monomial(mono, -1), den.shift_monomial(mono, -1))
+    return num if den.is_const() else RatFunc(num, den)
 
 
 def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:

@@ -1,5 +1,6 @@
 """Ring arithmetic, canonical rendering, exact division, and gcd."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -268,7 +269,18 @@ def test_div_exact_inverts_mul(f, g):
 
 @settings(max_examples=30, deadline=None)
 @given(small, small, small)
+# PRSs in x whose third remainder is divided by g*h^delta with delta = 1 and
+# a nonconstant h (Algorithm C's h: 8 - 16*b1, 144*b1 - 96, 32*b0 - 64), so
+# a divisor with one power of h too many does not divide
+@example(2 * P.b(1) * P.x() ** 3 + P.x() ** 2 + P.b(0),
+         2 * P.x() ** 3 + 2 * P.x() ** 2 - P.x() + 3, 2 - 2 * P.x())
+@example(2 * P.b(1) * P.x() ** 4 - 2 * P.x() ** 3 + 1,
+         -2 * P.x() ** 4 + 3 * P.x() ** 3 - P.x(), 2 * P.x() + 3)
+@example(P.b(0) * P.x() ** 4 + (P.b(0) + 2) * P.x() ** 3 + 1,
+         2 * P.x() ** 3 + 2 * P.x() ** 2 - 2 * P.x() + 3, 2 * P.x() - 2)
 def test_gcd_agrees_with_sympy(f, g, h):
+    """poly_gcd(f*h, g*h) is sympy's gcd up to a unit of the Laurent ring,
+    in ``primitive()``'s normal form."""
     sympy = pytest.importorskip("sympy")
     if f.is_zero() or g.is_zero() or h.is_zero():
         return
@@ -277,8 +289,9 @@ def test_gcd_agrees_with_sympy(f, g, h):
     def to_sympy(p):
         return sympy.parse_expr(p.render().replace("^", "**"), local_dict=names)
 
-    ratio = sympy.cancel(to_sympy(poly_gcd(f * h, g * h)) / sympy.gcd(to_sympy(f * h),
-                                                                      to_sympy(g * h)))
+    got = poly_gcd(f * h, g * h)
+    assert got.primitive()[1] == got
+    ratio = sympy.cancel(to_sympy(got) / sympy.gcd(to_sympy(f * h), to_sympy(g * h)))
     # equal up to units of the Laurent ring: a rational times a monomial
     for part in sympy.fraction(ratio):
         assert len(sympy.Poly(part, *names.values()).terms()) == 1
@@ -373,6 +386,28 @@ def test_gcd_probe_is_sound(pair):
     sympy, (F, G), gens = _sympy_of(f, g)
     unit = len(sympy.Poly(sympy.gcd(F, G), *gens).terms()) == 1
     assert poly_gcd(f, g).is_const() == unit
+
+
+@settings_
+@given(laurent)
+@example(MultiPoly.zero())
+@example(-2 * P.b(0) ** -1 + Fraction(4, 3) * P.b(0) ** 2 * P.x())   # content -2/3 * b0^-1
+def test_primitive_is_the_normal_form(p):
+    """p = unit * part, the unit a single term and the part a true polynomial
+    with zero monomial content, coprime integer coefficients and a positive
+    leading coefficient; zero maps to itself."""
+    unit, part = p.primitive()
+    assert unit.is_term() and unit * part == p
+    if p.is_zero():
+        assert part.is_zero()
+        return
+    assert part.monomial_content() == ()
+    assert all(e > 0 for mono, _ in part.terms() for _, e in mono)
+    coeffs = [c for _, c in part.terms()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert part.leading()[1] > 0
+    assert part.primitive() == (MultiPoly.const(1), part)
 
 
 LIMIT = P.EXPONENT_LIMIT

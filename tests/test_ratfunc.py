@@ -40,6 +40,13 @@ def test_den_normalized_primitive_positive():
     assert f.num == MultiPoly.const(Fraction(1, 2))
 
 
+def test_den_monomial_content_moves_to_numerator():
+    # 1/(b0 + b0^2) = b0^-1/(b0 + 1): the monomial content is a Laurent unit
+    f = RatFunc(1, P.b(0) + P.b(0) ** 2)
+    assert f.den == P.b(0) + 1
+    assert f.num == P.b(0) ** -1
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(1, MultiPoly.zero())
