@@ -103,8 +103,11 @@ def moment_vectors(k: int, spec: WeightSpec, r: int, n_max: int,
     u = [zero] * (k + 1)
     u[r] = MultiPoly.const(1)
     yield u
-    bs = [spec.b(i) for i in range(k + 1)]
-    lams = [None] + [spec.lam(i) for i in range(1, k + 1)]
+    # the weights a step can read, b_j and lam_{j+1} for j within n_max of r:
+    # a table of a few steps under a large bound reads a few of them
+    near = range(max(0, r - n_max), min(k, r + n_max + 1) + 1)
+    bs = {j: spec.b(j) for j in near}
+    lams = {j: spec.lam(j) for j in near if j}
     lo, hi = (0, k) if s is None else (s, s)   # the entries the caller reads
     for n in range(1, n_max + 1):
         left = n_max - n                         # steps still to take

@@ -11,6 +11,12 @@ at a time, in a fixed order, building each object once, at its leaf of the
 search.  Counting or summing over a family therefore holds one object at a
 time; a caller that needs the objects twice wraps the result in ``list()``.
 
+Each family's rule is stated in one function that its search consults:
+``steps_from`` for Motzkin paths, ``moves_from`` for Schroeder paths,
+``_pv_ok`` for peak-valley sequences (the tests' membership oracle as
+well), and the ``options`` of the alternating sequences and of the plane
+partitions.
+
 Weights have one representation.  An object's weight is a list of
 ``(family, index)`` factors, one per weighted step, entry or cell, from
 the family's ``*_factors`` function; ``weight_sum`` is the only place
@@ -25,7 +31,7 @@ partitions as row-major grids with a shape header.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -218,30 +224,18 @@ def encode_schroeder(steps: Steps) -> str:
 
 # -- peak-valley sequences ------------------------------------------------------
 
-def _pv_rules(ell: int, modified: bool) -> Tuple[int, int]:
-    # residues (mod ell) forcing a valley / a peak
-    if modified:
-        if ell != 3:
-            raise ValueError("modified variant is defined for ell = 3 only")
-        return 1, 2
-    return 0, (ell - 1)
-
-
 def _pv_ok(ell: int, modified: bool, prev: Optional[int], cur: int,
            nxt: Optional[int]) -> bool:
-    """Check the peak/valley rule at a position, ignoring absent neighbors."""
-    valley_res, peak_res = _pv_rules(ell, modified)
-    r = cur % ell
-    if r == valley_res:
-        if prev is not None and not prev > cur:
-            return False
-        if nxt is not None and not cur < nxt:
-            return False
-    elif r == peak_res:
-        if prev is not None and not prev < cur:
-            return False
-        if nxt is not None and not cur > nxt:
-            return False
+    """The peak-valley rule at an entry cur between its neighbours, an
+    absent (None) neighbour passing: cur = 0 mod ell (1 mod 3 in the
+    modified variant) is a valley, below both neighbours; cur = ell - 1
+    mod ell (2 mod 3 modified) is a peak, above both; other entries are
+    free.  The rule tests each neighbour on its own."""
+    res = cur % ell
+    if res == (1 if modified else 0):
+        return (prev is None or prev > cur) and (nxt is None or cur < nxt)
+    if res == (2 if modified else ell - 1):
+        return (prev is None or prev < cur) and (nxt is None or cur > nxt)
     return True
 
 
@@ -264,50 +258,28 @@ def pv_sequences(ell: int, n: int, k: int, modified: bool = False,
     boundary = not (r is None and s is None)
     r0 = 0 if r is None else r
     s0 = 0 if s is None else s
+    ok = partial(_pv_ok, ell, modified)
 
     if n == 0:
-        if not boundary or (_pv_ok(ell, modified, None, r0, s0)
-                            and _pv_ok(ell, modified, r0, s0, None)):
+        if not boundary or (ok(None, r0, s0) and ok(r0, s0, None)):
             yield ()
         return
 
-    valley, peak = _pv_rules(ell, modified)
-    entries = range(0, k + 1)
-
-    def after(left: Optional[int], cur: int):
-        """The entries v for which the rule at cur holds between left and v."""
-        res = cur % ell
-        if res == valley:
-            return range(max(cur + 1, 0), k + 1) if left is None or left > cur else ()
-        if res == peak:
-            return range(0, min(cur, k + 1)) if left is None or left < cur else ()
-        return entries
-
-    def closes(left: int, v: int) -> bool:
-        """The rule at a last entry v between left and s0, and (with r, s
-        given) the rule at s0 after v."""
-        res = v % ell
-        if res == valley and not (left > v < s0):
-            return False
-        if res == peak and not (left < v > s0):
-            return False
-        if boundary:
-            res = s0 % ell
-            return not ((res == valley and v <= s0) or (res == peak and v >= s0))
-        return True
-
     @lru_cache(maxsize=None)
-    def last_entries(left: int) -> List[int]:
-        return [v for v in entries if closes(left, v)]
+    def successors(cur: Optional[int], last: bool) -> List[int]:
+        # the entries v after cur (None: before the first entry of the plain
+        # family, where r0 is padding) with the rule at cur holding towards
+        # v; at the last position, the rule at v and (pinned) at s0 as well
+        prev = r0 if cur is None else cur
+        return [v for v in range(k + 1)
+                if (cur is None or ok(None, cur, v))
+                and (not last or (ok(prev, v, s0) and (not boundary or ok(v, s0, None))))]
 
-    def options(i: int, word: List[int]):
-        if i == 0:
-            cands = after(None, r0) if boundary else entries
-        else:
-            cands = after(word[i - 2] if i >= 2 else r0, word[i - 1])
-        if i < n - 1:
-            return cands
-        return [v for v in last_entries(word[i - 1] if i else r0) if v in cands]
+    def options(i: int, word: List[int]) -> List[int]:
+        # the rule at the entry before position i, towards its own predecessor
+        if i >= 1 and not ok(word[i - 2] if i >= 2 else r0, word[i - 1], None):
+            return []
+        return successors(word[i - 1] if i else (r0 if boundary else None), i == n - 1)
 
     yield from _words(n, options)
 

@@ -498,13 +498,15 @@ def _v_ratio(r: int, s: int) -> MultiPoly:
     return mono
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _pinned_pv3_row(n: int, r: int, bound: int,
                     unit_weights: bool) -> Tuple[Tuple[MultiPoly, ...], List[MultiPoly]]:
     """(blocks of det A, e_r^T adj(A)^n) at the bound under ``one_one()`` or
     ``v_inverse()``: a ``pv3-rs`` grid's tuples that differ only in s share
-    it.  The key holds integers and a flag set in this module, never a
-    caller's ``WeightSpec``: specs compare by name."""
+    it.  A tuple reads at most four rows (two bounds, two weight tables) and
+    the verify grid varies s fastest, so four entries lose no hit.  The key
+    holds integers and a flag set in this module, never a caller's
+    ``WeightSpec``: specs compare by name."""
     blocks, vecs = adjugate_vectors(bound, one_one() if unit_weights else v_inverse(), r, n)
     return blocks, vecs[n]
 

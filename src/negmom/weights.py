@@ -123,9 +123,9 @@ def av_lambda() -> WeightSpec:
     return WeightSpec("b=zero,lam=av", parse_gen("zero", "b"), lam_fn)
 
 
-def doubled_even(spec_: WeightSpec | None = None) -> WeightSpec:
+def doubled_even() -> WeightSpec:
     """b'_i = lam_{2i} + lam_{2i+1} (lam_0 = 0), lam'_i = lam_{2i-1} lam_{2i}."""
-    base = symbolic() if spec_ is None else spec_
+    base = symbolic()
 
     def b_fn(i: int) -> MultiPoly:
         first = MultiPoly.zero() if i == 0 else base.lam(2 * i)
@@ -137,9 +137,9 @@ def doubled_even(spec_: WeightSpec | None = None) -> WeightSpec:
     return WeightSpec(f"doubled-even({base.name})", b_fn, lam_fn)
 
 
-def doubled_odd(spec_: WeightSpec | None = None) -> WeightSpec:
+def doubled_odd() -> WeightSpec:
     """b''_i = lam_{2i+1} + lam_{2i+2}, lam''_i = lam_{2i} lam_{2i+1}."""
-    base = symbolic() if spec_ is None else spec_
+    base = symbolic()
 
     def b_fn(i: int) -> MultiPoly:
         return base.lam(2 * i + 1) + base.lam(2 * i + 2)

@@ -5,7 +5,8 @@ drops its ``# elapsed`` line, the only one that varies between runs.
 The corpus covers forward and ``--negative`` moment tables over the
 weight mini-language, every zero-lambda ``custom:`` list among them and
 ``--lambda bsq`` under ``custom:`` b prefixes (d = det A factors when
-some lam_i is zero), ``sequence`` in each ``--emit``, and usage errors.
+some lam_i is zero), ``sequence`` in each ``--emit``, peak-valley
+sequences with pinned boundary values, and usage errors.
 A refactor that must not change any output is checked against it:
 
     PYTHONPATH=src python tests/sweep_digests.py           # name each run that differs
@@ -74,6 +75,25 @@ def _argvs() -> List[str]:
             runs.append(f"sequence {fam} --emit {emit}")
         runs.append(f"sequence motzkin --n 4 --k 2 --emit {emit} --format json")
         runs.append(f"sequence alt --n 4 --k 2 --emit {emit} --format csv")
+    # peak-valley sequences over both ells and variants, with the boundary
+    # values pinned, one pinned, or neither, and a nonempty Schroeder family
+    runs += [
+        "sequence pv --ell 3 --n 4 --k 3 --r 1 --s 2 --emit list",
+        "sequence pv --ell 3 --n 4 --k 3 --r 1 --s 2 --variant modified --emit list",
+        "sequence pv --ell 2 --n 4 --k 3 --r 1 --s 2 --emit list",
+        "sequence pv --ell 2 --n 5 --k 3 --emit count",
+        "sequence pv --ell 3 --n 5 --k 4 --emit list",
+        "sequence pv --ell 3 --n 0 --k 2 --r 0 --s 0 --emit count",
+        "sequence pv --ell 3 --n 0 --k 2 --r 0 --s 0 --variant modified --emit count",
+        "sequence pv --ell 3 --n 1 --k 4 --r 1 --s 1 --emit list",
+        "sequence pv --ell 2 --n 1 --k 4 --r 3 --s 3 --emit list",
+        "sequence pv --ell 3 --n 3 --k 3 --r 0 --s 2 --emit weights",
+        "sequence pv --ell 3 --n 3 --k 4 --r 4 --emit list",
+        "sequence pv --ell 2 --n 3 --k 4 --r 2 --emit list",
+        "sequence pv --ell 3 --n 2 --k 5 --s 4 --variant modified --emit list",
+        "sequence pv --ell 3 --n 6 --k 3 --variant modified --emit count",
+        "sequence schroeder --n 6 --k 2 --emit list",
+    ]
     # usage errors of the program's own checks (argparse's messages vary
     # between Python versions)
     runs += [

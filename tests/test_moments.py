@@ -143,6 +143,16 @@ def test_forward_steps_form_only_the_light_cone(k, r, s, n_max):
                for n, u in enumerate(whole) if n <= 6 for j in range(k + 1))
 
 
+def test_forward_table_reads_only_the_weights_it_can_use():
+    # a two-step table from height 0 reads b_j and lam_j for j <= 3 however
+    # large the bound: no weight is built (or variable interned) per height
+    read = []
+    spec = W.WeightSpec("recording", lambda i: read.append(i) or P.b(i),
+                        lambda i: read.append(i) or P.lam(i))
+    assert forward_moments(2, 0, 0, 10**6, spec) == [1, P.b(0), P.b(0) ** 2 + P.lam(1)]
+    assert read and max(read) <= 3
+
+
 def test_orth_poly_recurrence():
     assert orth_poly(1, SYM) == P.x() - P.b(0)
     assert orth_poly(2, SYM) == (P.x() - P.b(1)) * (P.x() - P.b(0)) - P.lam(1)

@@ -402,6 +402,8 @@ def test_pv3_rs_tuples_share_one_row_across_s(monkeypatch):
         for r in range(4):
             for s in range(4):
                 assert check_pv3_rs(n, 1, r, s).passed, (n, r, s)
+    # the grid varies s fastest: the cache holds only the current tuple's rows
+    assert reciprocity._pinned_pv3_row.cache_info().currsize <= 4
     # one row e_r^T adj(A)^n per (n, r, bound) and weight table: 3 start
     # heights at bound 2, 4 at bound 3, each stepped exactly n times
     assert sorted(stepped) == sorted(2 * [(r, n) for n in (1, 2, 3) for r in range(3)]
