@@ -8,14 +8,13 @@ from .moments import (
     forward_moments,
     negative_moment,
     negative_moments,
-    orth_poly,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
     well_defined,
 )
 from .poly import MultiPoly, poly_div_exact, poly_gcd
-from .ratfunc import RatFunc, cf_eval, series_expand
+from .ratfunc import RatFunc
 from .weights import WeightSpec, spec
 
 __all__ = [
@@ -25,15 +24,12 @@ __all__ = [
     "RatFunc",
     "WeightSpec",
     "bounded_moment",
-    "cf_eval",
     "determinant",
     "forward_moments",
     "negative_moment",
     "negative_moments",
-    "orth_poly",
     "poly_div_exact",
     "poly_gcd",
-    "series_expand",
     "spec",
     "transfer_matrix",
     "usmani_inverse",

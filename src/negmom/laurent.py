@@ -18,9 +18,9 @@ are Laurent units (single terms) and raises IllDefinedError otherwise.
 The backward values are the forward ones under the reciprocal pair
 b'_i = 1/b_i, a'_i = a_i/(b_{i-1} b_i), shifted by one index and
 counting by half-length (a Schroeder path to (2n, 0) sits at index n).
-The brute-force path sums live with the checks in ``reciprocity``; the
-paper's other route, reversing the generating function, is kept in the
-tests as an oracle.
+The brute-force path sums live with the checks in ``reciprocity``.  The
+paper's other routes are test oracles: the Laurent polynomials L_n, their
+generating function and its reversal, and the continued fractions.
 """
 
 from __future__ import annotations
@@ -30,21 +30,6 @@ from typing import Tuple
 from .moments import IllDefinedError
 from .poly import MultiPoly
 from .weights import WeightSpec, laurent_ones
-
-_X = MultiPoly.variable("x")
-
-
-def laurent_poly(n: int, spec: WeightSpec) -> MultiPoly:
-    """L_n from L_{n+1} = (x - b_n) L_n - a_n x L_{n-1}."""
-    if n < 0:
-        return MultiPoly.zero()
-    prev, cur = MultiPoly.zero(), MultiPoly.const(1)
-    for i in range(n):
-        step = (_X - spec.b(i)) * cur
-        if i >= 1:
-            step = step - spec.a(i) * _X * prev
-        prev, cur = cur, step
-    return cur
 
 
 def _pencil_entry(n: int, k: int, spec: WeightSpec, backward: bool) -> MultiPoly:

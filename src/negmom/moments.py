@@ -21,9 +21,10 @@ u -> u adj(A) in O(k) products (``adjugate_vectors``,
 ``negative_moments``).  ``usmani_inverse`` writes the same factors out as
 a matrix in O(k^2) products, each lower column from one running product
 of the lam_i.  All of them refuse a negative bound k, as
-``transfer_matrix`` does.  The paper's other route, reversing the
-generating function, and stepping the recurrence itself are kept in the
-tests as oracles.
+``transfer_matrix`` does.  The paper's other routes are test
+oracles: the orthogonal polynomials P_n, the generating function they
+give and its reversal, the continued fractions, and stepping the
+recurrence itself.
 
 Every backward value is a quotient whose only denominator is a power of
 det A.  The rows stay in the polynomial ring and each value is divided by
@@ -51,7 +52,6 @@ from .weights import WeightSpec
 
 Value = Union[MultiPoly, RatFunc]
 
-_X = MultiPoly.variable("x")
 _ONE = MultiPoly.const(1)
 
 
@@ -139,17 +139,7 @@ def bounded_moment(n: int, r: int, s: int, k: int, spec: WeightSpec) -> MultiPol
     return forward_moments(n, r, s, k, spec)[n]
 
 
-# -- orthogonal polynomials and continuants ---------------------------------------
-
-def orth_poly(n: int, spec: WeightSpec) -> MultiPoly:
-    """Monic P_n from P_{n+1} = (x - b_n) P_n - lam_n P_{n-1}."""
-    if n < 0:
-        return MultiPoly.zero()
-    prev, cur = MultiPoly.zero(), MultiPoly.const(1)
-    for i in range(n):
-        prev, cur = cur, (_X - spec.b(i)) * cur - (spec.lam(i) * prev if i >= 1 else MultiPoly.zero())
-    return cur
-
+# -- continuants -----------------------------------------------------------------
 
 def _continuants(k: int, spec: WeightSpec) -> List[MultiPoly]:
     """[theta_0, ..., theta_{k+1}]: the leading principal minors of

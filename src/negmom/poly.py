@@ -31,16 +31,15 @@ if that range leaves the field; an exponent never wraps.
 
 Tuple monomials, sorted tuples of ``(variable, exponent)`` pairs with
 nonzero exponents, appear only at the public edge: the constructor,
-``terms``, ``leading``, ``monomial_content``, ``shift_monomial`` and
-pickling.  Canonical term order: a higher total degree comes first;
-between equal degrees, walk the variables in variable order (family as
-listed above, then index) and let the first variable where the two
-monomials differ decide: a variable present in one monomial and absent
-from the other puts the first one ahead, even with a negative exponent,
-and when both have it the larger exponent comes first.  ``_canonical``
-reads this order off the packed keys with one integer sort.  The text
-rendering produced by ``render`` is the fixture format used throughout
-the test suite.
+``terms``, ``leading`` and pickling.  Canonical term order: a higher
+total degree comes first; between equal degrees, walk the variables in
+variable order (family as listed above, then index) and let the first
+variable where the two monomials differ decide: a variable present in
+one monomial and absent from the other puts the first one ahead, even
+with a negative exponent, and when both have it the larger exponent
+comes first.  ``_canonical`` reads this order off the packed keys with
+one integer sort.  The text rendering produced by ``render`` is the
+fixture format used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -400,12 +399,6 @@ class MultiPoly:
         k = keys[max(range(len(keys)), key=order.__getitem__)]
         return _decode(k), self._terms[k]
 
-    def coefficient(self, var: Var, exp: int) -> "MultiPoly":
-        """Coefficient of ``var**exp`` as a polynomial in the other variables."""
-        sh, exps = self._column(var)
-        return _wrap({k - (e << sh): c for (k, c), e in zip(self._terms.items(), exps)
-                      if e == exp}, self._bound)
-
     def as_univariate(self, var: Var) -> Dict[int, "MultiPoly"]:
         """Split into {exponent of var: coefficient poly}."""
         sh, exps = self._column(var)
@@ -556,16 +549,6 @@ class MultiPoly:
         return poly_sum(term(k, c) for k, c in self._terms.items())
 
     # -- Laurent normalization ----------------------------------------------
-
-    def monomial_content(self) -> Monomial:
-        """Per-variable minimum exponent over all terms (the monomial gcd)."""
-        return _decode(_content(self._terms)[0])
-
-    def shift_monomial(self, mono: Monomial, power: int = 1) -> "MultiPoly":
-        """Multiply every term by ``mono**power`` (exact, unit operation)."""
-        if not mono or power == 0:
-            return self
-        return self._shifted(*_encode((v, e * power) for v, e in mono))
 
     def primitive(self) -> Tuple["MultiPoly", "MultiPoly"]:
         """``(unit, part)`` with ``self == unit * part``: the unit a single

@@ -10,25 +10,20 @@ coefficient.  Two RatFuncs are equal when their cross products are.
 Lowest terms are decided in one place, ``over_power``, which strips the
 factors of d, each certified irreducible, from a quotient by a power of
 d by trial division.  No arithmetic is defined on RatFunc: the program
-computes in the polynomial ring and divides once.
-
-The series utilities, ``series_expand`` and ``cf_eval``, stay only for
-alt-cf's independent route: no moment is expanded from a generating
-function (the moments step matrices, and the reversed-gf route lives in
-the tests as an oracle).  They treat ``x`` as the series variable, all
-other variables riding along inside the coefficients, and expand only
-over a Laurent-unit den(0), so coefficients stay in the polynomial ring.
+computes in the polynomial ring and divides once.  The module holds
+``RatFunc`` and ``over_power`` only: the package expands no series (the
+generating-function and continued-fraction routes live in the tests as
+oracles).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Union
+from typing import Sequence, Union
 
 from .poly import (
     ExactDivisionError,
     MultiPoly,
-    X_VAR,
     irreducible,
     poly_div_exact,
     poly_gcd,
@@ -86,11 +81,7 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
-# -- series machinery ----------------------------------------------------------
-
-
-def x_coeffs(p: MultiPoly) -> Dict[int, MultiPoly]:
-    return p.as_univariate(X_VAR)
+# -- lowest terms ---------------------------------------------------------------
 
 
 def over_power(num: MultiPoly, blocks: Sequence[MultiPoly],
@@ -131,59 +122,3 @@ def over_power(num: MultiPoly, blocks: Sequence[MultiPoly],
                 num, power = poly_div_exact(num, g), poly_div_exact(power, g)
             den = den * power
     return num if den.is_const() else RatFunc(num, den)
-
-
-def series_expand(f: RatFunc, n_terms: int) -> List[MultiPoly]:
-    """First ``n_terms`` power-series coefficients of f around x = 0.
-
-    With den = d0 + d1 x + ... and num = a0 + a1 x + ..., the coefficients
-    c_n satisfy d0 c_n = a_n - sum_j d_j c_{n-j}.  d0 must be a Laurent
-    unit, so each c_n is that right side times d0's inverse, a MultiPoly;
-    any other d0 raises ArithmeticError.  f itself need not be reduced.
-    In the package this expands only alt-cf's continued fraction, a route
-    independent of the stepped moments.
-    """
-    den_u = x_coeffs(f.den)
-    num_u = x_coeffs(f.num)
-    if min(den_u, default=0) < 0 or min(num_u, default=0) < 0:
-        raise ZeroDivisionError("pole at x = 0: negative power of x")
-    d0 = den_u.pop(0, None)
-    if d0 is None:
-        raise ZeroDivisionError("denominator vanishes at x = 0")
-    if not d0.is_term():
-        raise ArithmeticError(f"series expansion needs a Laurent-unit den(0), not {d0.render()}")
-    inv0 = d0.unit_inverse()
-    zero = MultiPoly.zero()
-    coeffs: List[MultiPoly] = []
-    for n in range(n_terms):
-        acc = num_u.get(n, zero)
-        for j, dj in den_u.items():
-            if j <= n:
-                acc = acc - dj * coeffs[n - j]
-        coeffs.append(acc * inv0)
-    return coeffs
-
-
-def cf_eval(partial_numerators: Sequence[PolyLike],
-            partial_denominators: Sequence[PolyLike]) -> RatFunc:
-    """Collapse the finite continued fraction
-
-        n1 / (d1 - n2 / (d2 - ... - nt / dt))
-
-    bottom-up into the pair N/D of the convergent recurrences, not
-    reduced: its series is what callers use.  Note the built-in
-    subtraction: signs belong to the partial numerators.  It stays for
-    alt-cf's independent route (and the test oracles' continued fractions).
-    """
-    nums = [_as_poly(p) for p in partial_numerators]
-    dens = [_as_poly(p) for p in partial_denominators]
-    if len(nums) != len(dens) or not nums:
-        raise ValueError("need matching, nonempty numerator/denominator lists")
-    if dens[-1].is_zero():
-        raise ZeroDivisionError(f"zero denominator at depth {len(dens)}")
-    N, D = nums[-1], dens[-1]
-    for i in range(len(nums) - 2, -1, -1):
-        N, D = nums[i] * D, dens[i] * D - N
-        if D.is_zero():
-            raise ZeroDivisionError(f"zero denominator while collapsing at depth {i + 1}")
-    return RatFunc(N, D)

@@ -35,7 +35,7 @@ from .moments import (
     v_inverse_closed_form,
 )
 from .poly import Q_VAR, MultiPoly, poly_sum
-from .ratfunc import RatFunc, cf_eval, over_power, series_expand
+from .ratfunc import RatFunc, over_power
 from .weights import (
     WeightSpec,
     av_lambda,
@@ -423,21 +423,30 @@ def check_alt_transfer_counts(n: int, k: int) -> IdentityCheck:
                         MultiPoly.const(paths.count_alt(n, k + 1)))
 
 
-def check_alt_cf(k: int, order: int = 8) -> IdentityCheck:
-    """Continued-fraction series for bounded alternating-sequence counts."""
-    params = {"k": k, "order": order}
-    y = MultiPoly.const((-1) ** k) * MultiPoly.variable("x")
-    bs = [MultiPoly.const((-1) ** k)] + \
-         [MultiPoly.const((-1) ** (k - i) * 2) for i in range(1, k + 1)]
-    nums = [-y] + [MultiPoly.const(-1)] * k
-    dens = [y - b for b in bs]
-    f = cf_eval(nums, dens)
-    ser = series_expand(f, order + 1)
-    sub = []
-    for n in range(1, order + 1):
-        sub.append(check_values("alt-cf", {**params, "n": n}, ser[n],
-                                MultiPoly.const(paths.count_alt(n, k + 1))))
-    return _combine("alt-cf", params, sub)
+def _signed_reversed_special(n_max: int, k: int) -> List[Value]:
+    """[(-1)^(kn) mu_{-n}^{<=k} for n = 0..n_max] on ``b_special(k).reversed(k)``:
+    b_0 = (-1)^k, b_i = 2 (-1)^(k-i) and lam_i = -1.  Entry n is the number
+    of alternating sequences of length n bounded by k + 1
+    (Cigler-Krattenthaler), which connection2 and alt-cf check."""
+    table = negative_moments(n_max, 0, 0, k, b_special(k).reversed(k))
+    return [MultiPoly.const(1)] + [(-1) ** (k * n) * v for n, v in enumerate(table, 1)]
+
+
+_ALT_ORDER = 8   # alt-cf checks the counts of lengths n = 1.._ALT_ORDER
+
+
+def check_alt_cf(k: int) -> IdentityCheck:
+    """The alternating counts of lengths 1..8 bounded by k + 1 against the
+    signed negative moments of ``b_special(k).reversed(k)``, stepped through
+    adj(A).  Those are the coefficients of the continued fraction
+    -y/(y - b_0 - lam_1/(y - b_1 - ...)) = -y e_0^T (y - A)^{-1} e_0 at
+    y = (-1)^k x (Flajolet 1980), which the tests expand as an oracle."""
+    params = {"k": k}
+    lhs = _signed_reversed_special(_ALT_ORDER, k)
+    return _combine("alt-cf", params, [
+        check_values("alt-cf", {**params, "n": n}, lhs[n],
+                     MultiPoly.const(paths.count_alt(n, k + 1)))
+        for n in range(1, _ALT_ORDER + 1)])
 
 
 # -- classic count reciprocity ---------------------------------------------------------
@@ -469,19 +478,15 @@ def check_connection1(n: int, k: int) -> IdentityCheck:
     """Special-weight moments as row sums of the doubled-bound Dyck matrix."""
     params = {"n": n, "k": k}
     lhs = bounded_moment(n, 0, 0, k, b_special(k))
-    for i, u in enumerate(moment_vectors(2 * k + 1, zero_one(), 0, n + 1)):
-        if i == n + 1:
-            rhs = poly_sum(u)
-    return check_values("connection1", params, lhs, rhs)
+    *_, row = moment_vectors(2 * k + 1, zero_one(), 0, n + 1)
+    return check_values("connection1", params, lhs, poly_sum(row))
 
 
 def check_connection2(n: int, k: int) -> IdentityCheck:
     """Negative moments of the special weights reversed at k,
     ``b_special(k).reversed(k)``, as alternating counts."""
     params = {"n": n, "k": k}
-    spec = b_special(k).reversed(k)
-    blocks, vecs = adjugate_vectors(k, spec, 0, n)
-    lhs = (-1) ** (k * n) * over_power(vecs[n][0], blocks, n)
+    lhs = _signed_reversed_special(n, k)[n]
     rhs = MultiPoly.const(paths.count_alt(n, k + 1))
     return check_values("connection2", params, lhs, rhs)
 

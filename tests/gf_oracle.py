@@ -13,18 +13,18 @@ expands fraction-free and returns each coefficient as an unreduced pair.
 On the Schroeder side the gf of (sigma_n^{<=k})_{n>=0} is
 L*^{(1)}_k / L*_{k+1}, a ratio of inverted Laurent polynomials
 (``sigma_gf``), and ``reverse_gf`` turns it into the gf of
-(sigma_{-n}^{<=k})_{n>=1} (``sigma_negative_gf``).  Its den(0) is
-b_0 .. b_k up to sign, a Laurent unit for the specs the pencil steps
-backward, so ``series_expand`` expands it.
+(sigma_{-n}^{<=k})_{n>=1} (``sigma_negative_gf``).
+
+``gf_series`` is the one series expander and ``cf_eval`` the one
+continued-fraction collapse: the package itself expands no series.
 """
 
 from typing import List
 
 from negmom import poly as P
-from negmom.laurent import laurent_poly
-from negmom.moments import IllDefinedError, orth_poly
+from negmom.moments import IllDefinedError
 from negmom.poly import MultiPoly, poly_sum
-from negmom.ratfunc import RatFunc, cf_eval, x_coeffs
+from negmom.ratfunc import RatFunc
 
 _X = P.x()
 _ONE = MultiPoly.const(1)
@@ -34,14 +34,14 @@ _ONE = MultiPoly.const(1)
 
 def deg_x(p):
     """Degree in x (coefficients in the other variables); -1 for zero."""
-    u = x_coeffs(p)
+    u = p.as_univariate(P.X_VAR)
     return max(u) if u else -1
 
 
 def invert_x(p, degree):
     """x**degree * p(1/x): reverse the x-exponents against ``degree``."""
     return poly_sum(c * MultiPoly.variable("x", exp=degree - e)
-                    for e, c in x_coeffs(p).items())
+                    for e, c in p.as_univariate(P.X_VAR).items())
 
 
 class ReversalError(ValueError):
@@ -58,23 +58,56 @@ def reverse_gf(f):
     """
     num_p, den_q = f.num, f.den
     dp, dq = deg_x(num_p), deg_x(den_q)
-    qu = x_coeffs(den_q)
+    qu = den_q.as_univariate(P.X_VAR)
     if 0 not in qu or qu[0].is_zero():
         raise ReversalError("denominator vanishes at x = 0")
-    if min(x_coeffs(num_p), default=0) < 0 or min(qu) < 0:
+    if min(num_p.as_univariate(P.X_VAR), default=0) < 0 or min(qu) < 0:
         raise ReversalError("Laurent powers of x are not reversible")
     if f.is_zero():
         return f
     if dp > dq:
         raise ReversalError("numerator degree exceeds denominator degree: "
                             "no homogeneous linear recurrence")
-    if dp == dq and not x_coeffs(num_p).get(0, MultiPoly.zero()).is_zero():
+    if dp == dq and not num_p.as_univariate(P.X_VAR).get(0, MultiPoly.zero()).is_zero():
         raise ReversalError("degree tie with nonzero constant term: "
                             "no homogeneous linear recurrence")
     return RatFunc(-invert_x(num_p, dq), invert_x(den_q, dq))
 
 
+# -- continued fractions ---------------------------------------------------------
+
+def cf_eval(nums, dens):
+    """Collapse the finite continued fraction
+
+        n1 / (d1 - n2 / (d2 - ... - nt / dt))
+
+    of MultiPoly partial numerators and denominators bottom-up into the
+    pair N/D of the convergent recurrences, not reduced: its series is
+    what callers use.  Note the built-in subtraction: signs belong to the
+    partial numerators."""
+    if len(nums) != len(dens) or not nums:
+        raise ValueError("need matching, nonempty numerator/denominator lists")
+    if dens[-1].is_zero():
+        raise ZeroDivisionError(f"zero denominator at depth {len(dens)}")
+    N, D = nums[-1], dens[-1]
+    for i in range(len(nums) - 2, -1, -1):
+        N, D = nums[i] * D, dens[i] * D - N
+        if D.is_zero():
+            raise ZeroDivisionError(f"zero denominator while collapsing at depth {i + 1}")
+    return RatFunc(N, D)
+
+
 # -- orthogonal side -------------------------------------------------------------
+
+def orth_poly(n, spec):
+    """Monic P_n from P_{n+1} = (x - b_n) P_n - lam_n P_{n-1}."""
+    if n < 0:
+        return MultiPoly.zero()
+    prev, cur = MultiPoly.zero(), _ONE
+    for i in range(n):
+        prev, cur = cur, (_X - spec.b(i)) * cur - (spec.lam(i) * prev if i >= 1 else MultiPoly.zero())
+    return cur
+
 
 def inverted_poly(n, spec):
     """P*_n(x) = x^n P_n(1/x)."""
@@ -144,7 +177,7 @@ def gf_series(f, n_terms) -> List[RatFunc]:
     pairs N_n / d0^(n+1), for any nonzero d0 = den(0):
     N_n = a_n d0^n - sum_j d_j N_{n-j} d0^(j-1) stays in the polynomial
     ring (Bareiss 1968)."""
-    num_u, den_u = x_coeffs(f.num), x_coeffs(f.den)
+    num_u, den_u = f.num.as_univariate(P.X_VAR), f.den.as_univariate(P.X_VAR)
     d0 = den_u.pop(0)
     powers, scaled = [_ONE], []
     for n in range(n_terms):
@@ -159,6 +192,19 @@ def gf_series(f, n_terms) -> List[RatFunc]:
 
 
 # -- Schroeder side ----------------------------------------------------------------
+
+def laurent_poly(n, spec):
+    """L_n from L_{n+1} = (x - b_n) L_n - a_n x L_{n-1}."""
+    if n < 0:
+        return MultiPoly.zero()
+    prev, cur = MultiPoly.zero(), _ONE
+    for i in range(n):
+        step = (_X - spec.b(i)) * cur
+        if i >= 1:
+            step = step - spec.a(i) * _X * prev
+        prev, cur = cur, step
+    return cur
+
 
 def laurent_inverted(n, spec):
     """L*_n(x) = x^n L_n(1/x)."""

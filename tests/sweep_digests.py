@@ -6,7 +6,8 @@ The corpus covers forward and ``--negative`` moment tables over the
 weight mini-language, every zero-lambda ``custom:`` list among them and
 ``--lambda bsq`` under ``custom:`` b prefixes (d = det A factors when
 some lam_i is zero), ``sequence`` in each ``--emit``, peak-valley
-sequences with pinned boundary values, and usage errors.
+sequences with pinned boundary values, ``verify alt-cf`` and ``verify
+connection2`` over the index-reversed special weights, and usage errors.
 A refactor that must not change any output is checked against it:
 
     PYTHONPATH=src python tests/sweep_digests.py           # name each run that differs
@@ -94,6 +95,10 @@ def _argvs() -> List[str]:
         "sequence pv --ell 3 --n 6 --k 3 --variant modified --emit count",
         "sequence schroeder --n 6 --k 2 --emit list",
     ]
+    # verify on the special weights reversed at k, whose negative moments
+    # are signed alternating counts, with the negative bounds SKIPPED
+    runs += [f"verify alt-cf --k=-2..8{fmt}" for fmt in ("", " --format json", " --format csv")]
+    runs += [f"verify connection2 --n 0..8 --k 0..6{fmt}" for fmt in ("", " --format json")]
     # usage errors of the program's own checks (argparse's messages vary
     # between Python versions)
     runs += [

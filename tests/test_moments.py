@@ -21,7 +21,6 @@ from negmom.moments import (
     moment_vectors,
     negative_moment,
     negative_moments,
-    orth_poly,
     transfer_matrix,
     usmani_inverse,
     v_inverse_closed_form,
@@ -29,7 +28,7 @@ from negmom.moments import (
 )
 from negmom.paths import motzkin_factors, motzkin_paths, pv_sequences, seq_v_factors, weight_sum
 from negmom.poly import MultiPoly
-from negmom.ratfunc import RatFunc, series_expand, x_coeffs
+from negmom.ratfunc import RatFunc
 from negmom.reciprocity import check_pv2, check_pv3a, check_pv3b
 from gf_oracle import (
     gf_series,
@@ -37,6 +36,7 @@ from gf_oracle import (
     moment_gf,
     negative_cf,
     negative_moment_gf,
+    orth_poly,
     reverse_gf,
     viennot_cf,
 )
@@ -158,7 +158,7 @@ def test_orth_poly_recurrence():
     assert orth_poly(2, SYM) == (P.x() - P.b(1)) * (P.x() - P.b(0)) - P.lam(1)
     assert orth_poly(0, SYM) == MultiPoly.const(1)
     # inverted polynomial has constant term 1 (monic source)
-    assert inverted_poly(3, SYM).coefficient(P.X_VAR, 0) == MultiPoly.const(1)
+    assert inverted_poly(3, SYM).as_univariate(P.X_VAR)[0] == MultiPoly.const(1)
 
 
 def test_zeros_of_special_families():
@@ -174,16 +174,16 @@ def test_moment_gf_examples():
     assert moment_gf(0, 0, 1, Z1) == RatFunc(1, 1 - P.x() ** 2)
     # the lambda product factor appears in the r > s case
     f = moment_gf(1, 0, 1, SYM)
-    assert f.num.coefficient(P.X_VAR, 1) == P.lam(1)
+    assert f.num.as_univariate(P.X_VAR)[1] == P.lam(1)
 
 
 def test_gf_matches_moments_termwise():
     for k in range(0, 3):
         for r in range(k + 1):
             for s in range(k + 1):
-                ser = series_expand(moment_gf(r, s, k, SYM), 6)
+                ser = gf_series(moment_gf(r, s, k, SYM), 6)
                 for n in range(6):
-                    assert ser[n] == bounded_moment(n, r, s, k, SYM)
+                    assert ser[n] == RatFunc(bounded_moment(n, r, s, k, SYM))
 
 
 def test_viennot_cf_equals_gf():
@@ -236,12 +236,12 @@ def _recurrence_route(n, r, s, k, spec):
     f = moment_gf(r, s, k, spec)
     if f.is_zero():
         return MultiPoly.zero()
-    qu = x_coeffs(f.den)
+    qu = f.den.as_univariate(P.X_VAR)
     d = max(qu)
     assert d > 0, "the moment sequence admits no homogeneous recurrence"
-    # window holds q_d^i [c_{-i}, ..., c_{d-1-i}] after i steps; den(0) = 1,
-    # so the forward window is polynomial
-    window = series_expand(f, d)
+    # window holds q_d^i [c_{-i}, ..., c_{d-1-i}] after i steps; den(0) = +-1,
+    # so the forward window is polynomial: each pair's unit den is 1
+    window = [c.num for c in gf_series(f, d)]
     qd = qu[d]
     for _ in range(n):
         # homogeneous relation sum_{j=0}^{d} q_j c_{m-j} = 0 defines c_{m-d}
@@ -391,7 +391,7 @@ def test_det_splits_into_irreducible_blocks_at_zero_lams(k_spec):
     assert prod(blocks) == determinant(transfer_matrix(k, spec))
     for d in blocks:
         if not d.is_term():
-            dh = d.shift_monomial(d.monomial_content(), -1)
+            dh = d.primitive()[1]
             _, factors = sympy.factor_list(_to_sympy(sympy, dh))
             assert sum(m for _, m in factors) == 1, d.render()
             assert P.irreducible(d), d.render()
@@ -435,9 +435,9 @@ def test_negative_moment_ill_defined():
 
 def test_negative_cf_series():
     g = negative_cf(1, Z1)
-    assert [c.as_fraction() for c in series_expand(g, 5)] == [0, 0, 1, 0, 1]
-    ser = series_expand(negative_cf(3, Z1), 5)
-    assert ser[4].as_fraction() == 5  # alternating sequences of length 3, bound 2
+    assert gf_series(g, 5) == [RatFunc(c) for c in (0, 0, 1, 0, 1)]
+    ser = gf_series(negative_cf(3, Z1), 5)
+    assert ser[4] == RatFunc(5)  # alternating sequences of length 3, bound 2
 
 
 def test_negative_cf_equals_reversed_gf():

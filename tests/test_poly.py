@@ -176,11 +176,6 @@ def test_gcd_random_products():
         assert poly_div_exact((a * c), poly_gcd(g, c)) is not None
 
 
-def test_monomial_content():
-    p = P.b(0) ** 2 * P.V(1) + P.b(0) * P.V(1) ** 3
-    assert dict(p.monomial_content()) == {("b", 0): 1, ("V", 1): 1}
-
-
 def test_var_validation():
     with pytest.raises(ValueError):
         make_var("zz", 0)
@@ -349,7 +344,7 @@ def test_div_exact_agrees_with_sympy(q_, g, r, content):
     """poly_div_exact on true polynomials: the quotient sympy finds when its
     remainder is zero (the divisor alone is a Groebner basis of its ideal),
     ExactDivisionError otherwise."""
-    f = (g * q_ + r).shift_monomial(content)
+    f = (g * q_ + r) * MultiPoly.monomial(1, content)
     sympy, (F, G), gens = _sympy_of(f, g)
     quo, rem = sympy.div(F, G, *gens, domain="QQ")
     if rem != 0:
@@ -401,8 +396,8 @@ def test_primitive_is_the_normal_form(p):
     if p.is_zero():
         assert part.is_zero()
         return
-    assert part.monomial_content() == ()
     assert all(e > 0 for mono, _ in part.terms() for _, e in mono)
+    assert all(any(v not in dict(mono) for mono, _ in part.terms()) for v in part.variables())
     coeffs = [c for _, c in part.terms()]
     assert all(c.denominator == 1 for c in coeffs)
     assert math.gcd(*(c.numerator for c in coeffs)) == 1
@@ -489,7 +484,7 @@ def test_overflow_at_field_limit():
     with pytest.raises(OverflowError):
         (top + 1) ** 2
     with pytest.raises(OverflowError):
-        b1.shift_monomial(((("b", 1), LIMIT),))
+        b1 * MultiPoly.monomial(1, ((("b", 1), LIMIT),))
     # a bound past the limit is rechecked exactly, not refused
     assert top * MultiPoly.variable("x", exp=-LIMIT) == 1
     assert (b0 ** LIMIT * b1) * b0 ** -1 == b0 ** (LIMIT - 1) * b1
@@ -516,9 +511,8 @@ def test_operations_leave_their_operands_unchanged(p, q_, var, e):
     P.poly_dot([(v, v)], start=v)
     P.poly_sum([p, q_, v, -v])
     v.unit_inverse()
-    p.shift_monomial(((var, 1),), 2)
-    v.shift_monomial(((var, -e),))
-    p.coefficient(var, e), v.coefficient(var, e)
+    p.primitive(), v.primitive(), d.primitive()
+    p.as_univariate(var), v.as_univariate(var)
     p.subs({var: 2}), p.subs({var: v}), v.subs({var: 2})
     if e > 0:   # a negative power takes only a unit
         v.subs({var: q_})
@@ -612,7 +606,7 @@ def _spec_det(k, b_expr, lam_expr):
 def _sympy_factor_count(p):
     """Irreducible factors, with multiplicity, of p's polynomial part (sympy)."""
     sympy = pytest.importorskip("sympy")
-    ph = p.shift_monomial(p.monomial_content(), -1)
+    ph = p.primitive()[1]
     _, factors = sympy.factor_list(sympy.parse_expr(ph.render().replace("^", "**")))
     return sum(m for _, m in factors)
 
@@ -637,8 +631,8 @@ def test_irreducible_agrees_with_sympy_factor_list(d, content):
     """True exactly when sympy finds one irreducible factor and some variable
     has degree 1 in d's polynomial part; in particular never True for a
     reducible d (soundness)."""
-    d = d.shift_monomial(content)
-    dh = d.shift_monomial(d.monomial_content(), -1)
+    d = d * MultiPoly.monomial(1, content)
+    dh = d.primitive()[1]
     linear = any(dh.degree(w) == 1 for w in dh.variables())
     assert P.irreducible(d) == (linear and _sympy_factor_count(d) == 1)
 

@@ -1,5 +1,5 @@
-"""Rational-function values and lowest terms, series expansion, reversal,
-continued fractions."""
+"""Rational-function values and lowest terms; the test oracles' series
+expansion, reversal and continued fractions."""
 
 import random
 from fractions import Fraction
@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 from negmom import poly as P
 from negmom.poly import MultiPoly, poly_div_exact, poly_gcd
-from negmom.ratfunc import (
-    RatFunc,
-    cf_eval,
-    over_power,
-    series_expand,
-    x_coeffs,
-)
-from gf_oracle import ReversalError, reverse_gf
+from negmom.ratfunc import RatFunc, over_power
+from gf_oracle import ReversalError, cf_eval, gf_series, reverse_gf
 
 X = P.x()
 
@@ -53,34 +47,24 @@ def test_zero_denominator_rejected():
 
 
 def test_series_geometric():
-    assert series_expand(RatFunc(1, 1 - X), 4) == [MultiPoly.const(1)] * 4
+    assert gf_series(RatFunc(1, 1 - X), 4) == [RatFunc(1)] * 4
 
 
 def test_series_shifted():
-    s = series_expand(RatFunc(X, 1 - P.b(0) * X), 3)
-    assert s[0].is_zero() and s[1] == 1 and s[2] == P.b(0)
+    s = gf_series(RatFunc(X, 1 - P.b(0) * X), 3)
+    assert s == [RatFunc(0), RatFunc(1), RatFunc(P.b(0))]
 
 
 def test_series_v_weights():
     f = RatFunc(P.V(1) * X, 1 - P.V(1) * P.V(0) * X * X)
-    s = series_expand(f, 4)
-    assert s == [MultiPoly.zero(), P.V(1), MultiPoly.zero(), P.V(1) ** 2 * P.V(0)]
+    s = gf_series(f, 4)
+    assert s == [RatFunc(v) for v in (0, P.V(1), 0, P.V(1) ** 2 * P.V(0))]
 
 
 def test_series_rational_coefficients():
-    # 1/(b0 - x) is sum x^n / b0^{n+1}: b0 is a Laurent unit, so the
-    # coefficients stay in the ring
-    s = series_expand(RatFunc(1, P.b(0) - X), 3)
-    assert s[2] == P.b(0) ** -3
-    # any other den(0) leaves the ring and is refused: a quotient by it is
-    # divided once by over_power, never per coefficient.  ArithmeticError,
-    # not ValueError, which verify would report as SKIPPED
-    d0 = P.b(0) + P.b(1)
-    for num, den in ((1, d0 - X), (d0 ** 3, d0 - P.b(2) * X),
-                     (P.b(0) * P.b(1) + P.b(0), P.b(0) ** 2 * P.b(1) + P.b(0) ** 2 + X)):
-        with pytest.raises(ArithmeticError, match="Laurent-unit den") as err:
-            series_expand(RatFunc(num, den), 3)
-        assert not isinstance(err.value, (ValueError, ZeroDivisionError))
+    # 1/(d0 - x) is sum x^n / d0^{n+1}, whether d0 is a Laurent unit or not
+    for d0 in (P.b(0), P.b(0) + P.b(1)):
+        assert gf_series(RatFunc(1, d0 - X), 3)[2] == RatFunc(1, d0 ** 3)
 
 
 # polynomials over Z[b0, b1]
@@ -93,12 +77,11 @@ _x_polys = st.lists(_b_polys, min_size=1, max_size=3).map(
 
 
 def _lowest_terms(num, den):
-    """The oracle: num / den with gcd(num, den) divided out of both, and
-    den's monomial content (a unit) moved into the numerator."""
+    """The oracle: num / den with gcd(num, den) divided out of both
+    (``RatFunc`` moves den's unit into the numerator)."""
     g = poly_gcd(num, den)
     num, den = poly_div_exact(num, g), poly_div_exact(den, g)
-    mono = den.monomial_content()
-    return RatFunc(num.shift_monomial(mono, -1), den.shift_monomial(mono, -1))
+    return RatFunc(num, den)
 
 
 def _assert_reduced_like_ratfunc(got, num, d, e):
@@ -143,13 +126,11 @@ def test_over_power_matches_reduced_ratfunc(p, s, t, extra, mono, e):
 @example(P.b(0) * P.b(1) + P.b(0), P.b(0) ** 2 * P.b(1) + P.b(0) ** 2 + X)   # c_0 = b0^-1
 @example(P.b(1) + X, P.b(0) - P.b(1) * X)                                    # d0 = b0, a unit
 def test_series_matches_sympy_for_non_unit_d0(num, den):
-    """Where f has no pole at x = 0, series_expand matches sympy's series
-    over a Laurent-unit den(0) and refuses any other den(0) with
-    ArithmeticError, even when sympy's coefficients are Laurent polynomials."""
+    """Where f has no pole at x = 0, gf_series matches sympy's series over
+    any den(0), a Laurent unit or not."""
     sympy = pytest.importorskip("sympy")
-    assume(0 in x_coeffs(den))   # no pole at x = 0
+    assume(0 in den.as_univariate(P.X_VAR))   # no pole at x = 0
     f = RatFunc(num, den)
-    d0 = x_coeffs(f.den)[0]
     names = {v: sympy.Symbol(v) for v in ("b0", "b1", "x")}
 
     def to_sympy(v):
@@ -157,20 +138,9 @@ def test_series_matches_sympy_for_non_unit_d0(num, den):
 
     order = 4
     want = sympy.series(to_sympy(f), names["x"], 0, order).removeO()
-    if not d0.is_term():
-        with pytest.raises(ArithmeticError, match="Laurent-unit den") as err:
-            series_expand(f, order)
-        assert not isinstance(err.value, (ValueError, ZeroDivisionError))
-        return
-    for n, c in enumerate(series_expand(f, order)):
-        assert isinstance(c, MultiPoly), n
+    for n, c in enumerate(gf_series(f, order)):
         ref = sympy.cancel(want.coeff(names["x"], n))
         assert sympy.cancel(to_sympy(c) - ref) == 0, n
-
-
-def test_series_pole_rejected():
-    with pytest.raises(ZeroDivisionError):
-        series_expand(RatFunc(1, X), 3)
 
 
 def test_reverse_self_dual():
@@ -181,7 +151,7 @@ def test_reverse_self_dual():
 def test_reverse_geometric():
     # f_n = 1 for all n: the reversed series is x + x^2 + ...
     r = reverse_gf(RatFunc(1, 1 - X))
-    assert series_expand(r, 4) == [MultiPoly.zero()] + [MultiPoly.const(1)] * 3
+    assert gf_series(r, 4) == [RatFunc(0)] + [RatFunc(1)] * 3
 
 
 def test_reverse_degree_violation():
@@ -226,8 +196,7 @@ def test_cf_two_levels():
 def test_cf_negative_route():
     # -x/(x - 1/x) has series 0, 0, 1, 0, 1
     f = cf_eval([-X, MultiPoly.const(1)], [X, X])
-    s = series_expand(f, 5)
-    assert [c.as_fraction() for c in s] == [0, 0, 1, 0, 1]
+    assert gf_series(f, 5) == [RatFunc(c) for c in (0, 0, 1, 0, 1)]
 
 
 def test_cf_zero_denominator_reported():

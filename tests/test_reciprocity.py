@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from negmom import reciprocity
+from negmom import paths, reciprocity
 from negmom import weights as W
 from negmom.cli import run_check
 from negmom.matrix import hankel_determinant, reduced_hankel_determinant
@@ -19,6 +19,7 @@ from negmom.moments import (
     well_defined,
 )
 from negmom.poly import MultiPoly
+from negmom.ratfunc import RatFunc
 from negmom.reciprocity import (
     alt_transfer_matrix,
     b_matrix,
@@ -46,6 +47,7 @@ from negmom.reciprocity import (
     reversed_special_matrix,
     rpp_prefactor_exponent,
 )
+from gf_oracle import cf_eval, gf_series
 
 
 def test_check_values_witness():
@@ -371,7 +373,28 @@ def test_alt_transfer():
     for k in range(0, 3):
         for n in range(0, 6):
             assert check_alt_transfer_counts(n, k).passed
-        assert check_alt_cf(k, order=6).passed
+        assert check_alt_cf(k).passed
+
+
+def _alternating_cf(k):
+    """-y/(y - b_0 + 1/(y - b_1 + ...)), y = (-1)^k x, b_0 = (-1)^k and
+    b_i = 2 (-1)^(k-i): the continued fraction of bounded alternating counts
+    (Flajolet 1980), written out with no weight spec."""
+    y = (-1) ** k * MultiPoly.variable("x")
+    bs = [(-1) ** k] + [2 * (-1) ** (k - i) for i in range(1, k + 1)]
+    return cf_eval([-y] + [MultiPoly.const(-1)] * k, [y - b for b in bs])
+
+
+def test_alternating_cf_is_the_signed_stepped_table():
+    # the series of the continued fraction, expanded by the oracle, equals
+    # the signed negative moments of b_special(k).reversed(k) that alt-cf
+    # and connection2 read, and the brute-force alternating counts
+    for k in range(9):
+        series = gf_series(_alternating_cf(k), 9)
+        table = reciprocity._signed_reversed_special(8, k)
+        for n in range(1, 9):
+            count = paths.count_alt(n, k + 1)
+            assert series[n] == RatFunc(table[n]) == RatFunc(count), (k, n)
 
 
 def test_connections_small():
